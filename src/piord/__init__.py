@@ -5,10 +5,10 @@ from .params import SystemParams
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     EOrd, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen,
-    collapsing_series, pd, pd_iter, prec, prec_eq, term_size,
+    collapsing_series, m_vec, pd, pd_iter, prec, prec_eq, term_size,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta
-from .validate import ValidationReport, check_ot, m_vec, rule_vs_series
+from .validate import ValidationReport, check_ot, rule_vs_series
 from .arith import (
     add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
     psi, psi0, psiK, psi_sd, psi_step, succ, theorem_bound, veblen,

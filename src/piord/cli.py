@@ -8,7 +8,7 @@ import sys
 from .params import SystemParams
 from .errors import OrdSyntaxError, PiordError
 from .order import EQ, LT, cmp_ord, k_delta
-from .validate import ValidationReport, check_ot, m_vec
+from .validate import ValidationReport, check_ot
 from .sd import Base, in_sd
 from .arith import theorem_bound
 from .oracle import (
@@ -18,7 +18,7 @@ from .oracle import (
 from .syntax import (
     parse_ord, parse_ord_claims, parse_seq, print_exp, print_ord, print_seq,
 )
-from .terms import BIG_K
+from .terms import BIG_K, m_vec
 
 __all__ = ["main"]
 

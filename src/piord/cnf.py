@@ -1,8 +1,8 @@
 """Structural relations on exponent terms in base-CNF form.
 
-Covers components, head/tail data, parts and iterated tail parts, the
-sequence orders, step-downs, the sp-relations, the head-exponent
-lexicographic order, towers, and irreducibility of coefficient vectors.
+Covers head/tail data, parts and iterated tail parts, the sequence orders,
+step-downs, the sp-relations, the head-exponent lexicographic order,
+towers, and irreducibility of coefficient vectors.
 
 Every exponent is handled through its list of (exponent, coefficient)
 pairs with strictly decreasing exponents; a plain ordinal term is the
@@ -13,18 +13,18 @@ from .errors import CapExceeded, NoWitness, UndefinedOnZero
 from .terms import (
     E_ZERO, ONE,
     EOrd, EZeroT, LamSum,
-    k_components, mk_eord, mk_lamsum, strip_zeros,
+    mk_eord, mk_lamsum, strip_zeros,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord
 
 __all__ = [
     "pairs", "from_pairs", "lam_of", "is_strict_exp",
-    "he", "te", "hd", "tl", "head_tail", "he_iter", "te_iter",
-    "is_part", "is_part_strict", "all_parts", "iterated_tail_parts",
+    "he", "te", "tl", "head_tail", "he_iter", "te_iter",
+    "is_part", "all_parts", "iterated_tail_parts",
     "seq_lt", "seq_lt_k", "step_down", "vec_step_down",
     "sp_le", "sp_lt", "vec_sp", "sp_position", "lx_lt",
     "lam_tower", "exp_succ", "exp_add", "drop_tail",
-    "irreducible", "irreducible_reduct", "components",
+    "irreducible", "irreducible_reduct",
 ]
 
 TOWER_CAP = 64
@@ -65,10 +65,6 @@ def is_strict_exp(x):
     return True
 
 
-def components(x):
-    return k_components(x)
-
-
 # ---------------------------------------------------------------------------
 # Head and tail data
 # ---------------------------------------------------------------------------
@@ -85,12 +81,6 @@ def te(x):
     if isinstance(x, EZeroT):
         raise UndefinedOnZero("tail exponent of 0")
     return pairs(x)[-1][0]
-
-
-def hd(x):
-    if isinstance(x, EZeroT):
-        raise UndefinedOnZero("head of 0")
-    return from_pairs(pairs(x)[:1])
 
 
 def tl(x):
@@ -134,10 +124,6 @@ def is_part(z, x):
     """z is an upper segment of x's CNF (0 and x itself included)."""
     pz = pairs(z)
     return pairs(x)[:len(pz)] == pz
-
-
-def is_part_strict(z, x):
-    return z is not x and is_part(z, x)
 
 
 def all_parts(x):

@@ -2,8 +2,11 @@
 
 Comparison of psi terms follows the four-clause recursion of the notation
 system's computability lemma and is mutually recursive with the component
-sets K_delta; both directions are memoized on interned nodes.
+sets K_delta; both directions are memoized on interned nodes.  Every memo
+table in the package is made by ``memo`` and emptied by ``clear_caches``.
 """
+
+import functools
 
 from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
@@ -20,18 +23,20 @@ __all__ = [
 
 LT, EQ, GT = -1, 0, 1
 
-_CMP_CACHE = {}
-_KD_CACHE = {}
-_RULE_CACHE = {}
+_MEMOS = []
 
-# rough guard against unbounded growth in long-running processes
-_CACHE_LIMIT = 6_000_000
+
+def memo(fn):
+    """Memoize fn on its arguments in an unbounded per-process table."""
+    cached = functools.cache(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 def clear_caches():
-    _CMP_CACHE.clear()
-    _KD_CACHE.clear()
-    _RULE_CACHE.clear()
+    """Empty every memo table; interned terms are never released."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +52,6 @@ def rule_tag(t):
     Determined by the coefficient vector and the recorded coefficients of
     the collapse base alone, so it is available before validation.
     """
-    tag = _RULE_CACHE.get(t)
-    if tag is None and t not in _RULE_CACHE:
-        tag = _rule_tag(t)
-        _RULE_CACHE[t] = tag
-    return tag
-
-
-def _rule_tag(t):
     if not isinstance(t, Psi):
         return None
     if t.nu_zero:
@@ -78,30 +75,10 @@ def _rule_tag(t):
 _STRATUM = {Veblen: 0, OmegaIdx: 0, Psi: 0, BigKT: 1, OmegaExp: 2}
 
 
-def cmp_ord(s, t):
+def _cmp_ord(s, t):
     """Trichotomous comparison; EQ exactly on identical (interned) terms."""
     if s is t:
         return EQ
-    key = (s, t)
-    r = _CMP_CACHE.get(key)
-    if r is None:
-        if len(_CMP_CACHE) > _CACHE_LIMIT:
-            _CMP_CACHE.clear()
-        r = _cmp_ord(s, t)
-        _CMP_CACHE[key] = r
-        _CMP_CACHE[(t, s)] = -r
-    return r
-
-
-def lt(s, t):
-    return cmp_ord(s, t) == LT
-
-
-def le(s, t):
-    return cmp_ord(s, t) <= EQ
-
-
-def _cmp_ord(s, t):
     if isinstance(s, ZeroT):
         return LT
     if isinstance(t, ZeroT):
@@ -111,6 +88,17 @@ def _cmp_ord(s, t):
     if len(sp) > 1 or len(tp) > 1:
         return _cmp_lex(sp, tp)
     return _cmp_principal(s, t)
+
+
+cmp_ord = memo(_cmp_ord)
+
+
+def lt(s, t):
+    return cmp_ord(s, t) == LT
+
+
+def le(s, t):
+    return cmp_ord(s, t) <= EQ
 
 
 def _cmp_lex(sp, tp):
@@ -276,25 +264,20 @@ def k_delta(delta, alpha):
     return _k_delta(delta, alpha)
 
 
+@memo
 def _k_delta(delta, alpha):
     if isinstance(alpha, (ZeroT, BigKT)):
         return _EMPTY
-    key = (delta, alpha)
-    r = _KD_CACHE.get(key)
-    if r is not None:
-        return r
     if isinstance(alpha, Sum):
         r = _EMPTY
         for p in alpha.parts:
             r |= _k_delta(delta, p)
-    elif isinstance(alpha, Veblen):
-        r = _k_delta(delta, alpha.b) | _k_delta(delta, alpha.g)
-    elif isinstance(alpha, (OmegaExp, OmegaIdx)):
-        r = _k_delta(delta, alpha.b)
-    else:
-        r = _k_delta_psi(delta, alpha)
-    _KD_CACHE[key] = r
-    return r
+        return r
+    if isinstance(alpha, Veblen):
+        return _k_delta(delta, alpha.b) | _k_delta(delta, alpha.g)
+    if isinstance(alpha, (OmegaExp, OmegaIdx)):
+        return _k_delta(delta, alpha.b)
+    return _k_delta_psi(delta, alpha)
 
 
 def _k_delta_psi(delta, alpha):

@@ -12,10 +12,11 @@ from .terms import E_ZERO, EOrd, Exp, Ord, ZERO, is_zero_vec
 from .cnf import (
     exp_add, from_pairs, irreducible, pairs, te, vec_step_down,
 )
+from .order import memo
 
 __all__ = [
     "Base", "Extend", "SdDerivation", "in_sd", "replay",
-    "SdConditions", "sd_necessary_conditions", "clear_sd_cache",
+    "SdConditions", "sd_necessary_conditions",
 ]
 
 
@@ -44,24 +45,12 @@ class SdDerivation:
     seq: Tuple[Exp, ...]
 
 
-_SD_CACHE = {}
-
-
-def clear_sd_cache():
-    _SD_CACHE.clear()
-
-
 def in_sd(seq) -> Optional[SdDerivation]:
     """A derivation of the vector, or None when there is none.
 
     The vector carries logical indices 2..N-1; N is read off its length.
     """
-    seq = tuple(seq)
-    if seq in _SD_CACHE:
-        return _SD_CACHE[seq]
-    d = _search(seq)
-    _SD_CACHE[seq] = d
-    return d
+    return _search(tuple(seq))
 
 
 def _base_of(seq):
@@ -76,6 +65,7 @@ def _base_of(seq):
     return None
 
 
+@memo
 def _search(seq):
     base = _base_of(seq)
     if base is not None:

@@ -18,8 +18,7 @@ from .terms import (
     mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
 )
 
-__all__ = ["parse_ord", "parse_exp", "parse_seq", "print_ord", "print_exp",
-           "print_seq"]
+__all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +248,6 @@ def parse_ord_claims(text, params):
     if not p.at_end():
         p.error("unexpected trailing input")
     return t, tuple(p.zero_claims)
-
-
-def parse_exp(text, params):
-    """Parse an exponent term."""
-    p = _Parser(text, params)
-    x = p.exp()
-    if not p.at_end():
-        p.error("unexpected trailing input")
-    return x
 
 
 def parse_seq(text, params):

@@ -11,8 +11,6 @@ side conditions live in :mod:`piord.validate` and normalizing constructors
 in :mod:`piord.arith`.
 """
 
-import threading
-
 from .errors import MalformedChain
 
 __all__ = [
@@ -130,19 +128,14 @@ class LamSum(Exp):
 # Interning
 # ---------------------------------------------------------------------------
 
+# never cleared: interned identity must outlive order.clear_caches()
 _POOL = {}
-_POOL_LOCK = threading.Lock()
 
 
 def _intern(key, build):
     t = _POOL.get(key)
     if t is None:
-        # lock only the miss path so concurrent builders agree on one node
-        with _POOL_LOCK:
-            t = _POOL.get(key)
-            if t is None:
-                t = build()
-                _POOL[key] = t
+        t = _POOL[key] = build()
     return t
 
 

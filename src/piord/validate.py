@@ -3,7 +3,7 @@
 ``check_ot`` decides which formation rule built a term and verifies that
 rule's side conditions bottom-up, producing a replayable report.  The
 component sets and recorded coefficients live in :mod:`piord.order` and
-:mod:`piord.terms`; this module re-exports them as the public surface.
+:mod:`piord.terms`.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from .terms import (
 from .order import (
     EQ, GT, LT,
     cmp_exp, cmp_ord, k_delta, k_delta_exp, k_delta_set, kset_below,
-    max_term, rule_tag, hull_member,
+    max_term, memo, rule_tag,
     PSI9, PSI10, PSI11, PSI12,
 )
 from .cnf import is_strict_exp, pairs, vec_sp
@@ -26,8 +26,7 @@ from .sd import in_sd
 from .errors import NotMahloTerm
 
 __all__ = [
-    "ValidationReport", "check_ot", "check_exp", "m_vec", "k_delta",
-    "hull_member", "rule_vs_series", "clear_validation_cache",
+    "ValidationReport", "check_ot", "check_exp", "rule_vs_series",
     "RULE_ATOM", "RULE_SUM", "RULE_VEBLEN", "RULE_OMEGA_EXP", "RULE_OMEGA_IDX",
 ]
 
@@ -52,35 +51,6 @@ class ValidationReport:
         return None
 
 
-_OT_CACHE = {}
-_EXP_CACHE = {}
-
-
-def clear_validation_cache():
-    _OT_CACHE.clear()
-    _EXP_CACHE.clear()
-
-
-def check_ot(t, params):
-    """Validate t as a member of the notation system for the given N."""
-    key = (t, params.n)
-    rep = _OT_CACHE.get(key)
-    if rep is None:
-        rep = _check_ot(t, params)
-        _OT_CACHE[key] = rep
-    return rep
-
-
-def check_exp(x, params):
-    """Validate x as a member of the strict exponent grammar."""
-    key = (x, params.n)
-    rep = _EXP_CACHE.get(key)
-    if rep is None:
-        rep = _check_exp(x, params)
-        _EXP_CACHE[key] = rep
-    return rep
-
-
 def _fail(rule, name, detail=""):
     return ValidationReport(False, rule, ((name, False, detail),))
 
@@ -89,7 +59,9 @@ def _ok(rule, checks, mv=None):
     return ValidationReport(True, rule, tuple(checks), mv)
 
 
-def _check_ot(t, params):
+@memo
+def check_ot(t, params):
+    """Validate t as a member of the notation system for the given N."""
     if isinstance(t, (ZeroT, BigKT)):
         return _ok(RULE_ATOM, [("atom", True, "")], m_vec(t, params))
     if isinstance(t, Sum):
@@ -167,7 +139,9 @@ def _check_omega_idx(t, params):
                m_vec(t, params))
 
 
-def _check_exp(x, params):
+@memo
+def check_exp(x, params):
+    """Validate x as a member of the strict exponent grammar."""
     if isinstance(x, EZeroT):
         return _ok("EZero", [("zero", True, "")])
     if isinstance(x, EOrd):

@@ -163,9 +163,9 @@ def test_criterion_7_descent_probes():
         rep = descent_probe(start, corpus, steps, seed=seed)
         assert rep.hit_bottom, "seed %d did not terminate" % seed
         hist[rep.chain_len] = hist.get(rep.chain_len, 0) + 1
-    ARTIFACTS.mkdir(exist_ok=True)
     lines = ["%d %d" % (k, hist[k]) for k in sorted(hist)]
-    (ARTIFACTS / "descent_hist_n4.txt").write_text("\n".join(lines) + "\n")
+    expected = (ARTIFACTS / "descent_hist_n4.txt").read_text()
+    assert "\n".join(lines) + "\n" == expected
     report(7, "descent probes",
            "100 chains terminated; lengths %d..%d"
            % (min(hist), max(hist)))

@@ -104,6 +104,23 @@ def test_console_entry_subprocess():
     assert proc.returncode == 0 and proc.stdout.strip() == "<"
 
 
+def _fresh_cli(argv):
+    return subprocess.run([sys.executable, "-m", "piord.cli"] + argv,
+                          capture_output=True, text=True)
+
+
+def test_depth_230_in_fresh_process():
+    # a cold process handles up to 244 tower levels; a memo wrapper that
+    # added a frame per recursion level would lower that limit
+    proc = _fresh_cli(["bound", "--n", "230"])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    term = proc.stdout.strip()
+    assert term.count("w^(") == 230
+    proc = _fresh_cli(["check", term])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.startswith("ok ")
+
+
 def test_explicit_zero_vector_claim_fails():
     # spelling with an explicit zero vector claims the coefficient rule
     code, out, _ = run(["check", "psi(K; [0,0]; 1)"])

@@ -6,7 +6,8 @@ import pytest
 from piord.errors import BudgetExceeded
 from piord.params import SystemParams
 from piord.terms import BIG_K, ZERO, Psi
-from piord.order import cmp_ord, LT
+import piord.order
+from piord.order import clear_caches, cmp_ord, LT
 from piord.validate import check_ot
 from piord.arith import theorem_bound
 from piord.oracle import (
@@ -117,3 +118,18 @@ def test_mutated_comparator_is_caught(monkeypatch, corpus4):
     reps = oracle.check_order_axioms(corpus4, triple_sample=10, seed=0)
     tri = next(r for r in reps if "trichotomy" in r.name)
     assert not tri.ok and tri.failures
+
+
+def test_antisymmetry_fault_is_caught(monkeypatch):
+    # a psi comparison answering LT both ways must not hide behind the memo
+    corpus = enumerate_corpus(P4, 7)
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(piord.order, "_cmp_psi_psi", lambda s, t: LT)
+            tri, _ = check_order_axioms(corpus, triple_sample=0)
+    finally:
+        clear_caches()
+    assert tri.name == "trichotomy+antisymmetry"
+    assert not tri.ok
+    assert tri.failures[0].endswith(": -1/-1")
