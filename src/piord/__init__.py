@@ -5,7 +5,7 @@ from .params import SystemParams
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     EOrd, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen,
-    collapsing_series, m_vec, pd, pd_iter, prec, prec_eq, term_size,
+    collapsing_series, m_vec, pd, pd_iter, prec, prec_eq,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta
 from .validate import ValidationReport, check_ot, rule_vs_series

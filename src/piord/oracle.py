@@ -114,13 +114,6 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
     return Corpus(params, size_cap, tuple(terms), tuple(seqs))
 
 
-def _principals(ot_by_size, smax):
-    for s in range(1, smax + 1):
-        for t in ot_by_size[s]:
-            if is_principal(t):
-                yield t
-
-
 def _gen_sums(s, ot_by_size, params, keep):
     # weakly decreasing part tuples: pick the head, then parts at most it
     by_size = {sp: [t for t in ot_by_size[sp] if is_principal(t)]

@@ -8,7 +8,7 @@ searches return a replayable derivation.
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .terms import E_ZERO, EOrd, Exp, Ord, ZERO, is_zero_vec
+from .terms import E_ZERO, EOrd, Exp, Ord, ZERO, is_zero_vec, mk_eord
 from .cnf import (
     exp_add, from_pairs, irreducible, pairs, te, vec_step_down,
 )
@@ -107,7 +107,7 @@ def replay(derivation, n):
     cur = None
     for step in derivation.steps:
         if isinstance(step, Base):
-            last = E_ZERO if step.a is ZERO else _eord(step.a)
+            last = E_ZERO if step.a is ZERO else mk_eord(step.a)
             cur = (E_ZERO,) * (n - 3) + (last,)
         else:
             j = step.k - 2
@@ -115,11 +115,6 @@ def replay(derivation, n):
             tail = cur[j + 1:] if step.keep_tail else (E_ZERO,) * (n - 2 - j - 1)
             cur = cur[:j] + (entry,) + tail
     return cur
-
-
-def _eord(a):
-    from .terms import mk_eord
-    return mk_eord(a)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ __all__ = [
     "ZERO", "BIG_K", "ONE", "E_ZERO", "E_ONE",
     "mk_sum", "mk_veblen", "mk_omega_exp", "mk_omega_idx", "mk_psi",
     "mk_eord", "mk_lamsum",
-    "term_size", "is_principal", "is_strongly_critical", "is_successor_term",
+    "is_principal", "is_strongly_critical", "is_successor_term",
     "zero_vec", "is_zero_vec", "strip_zeros",
     "k_components", "k_components_vec",
     "m_at", "m_profile",
@@ -259,12 +259,6 @@ E_ONE = mk_eord(ONE)
 # ---------------------------------------------------------------------------
 # Structural queries
 # ---------------------------------------------------------------------------
-
-def term_size(t):
-    """Number of grammar-symbol occurrences in t (zero coefficient padding
-    in psi terms costs nothing)."""
-    return t.size
-
 
 def is_principal(t):
     return isinstance(t, Ord) and not isinstance(t, (ZeroT, Sum))

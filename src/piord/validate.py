@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    is_strongly_critical,
+    collapsing_series, is_strongly_critical,
     k_components, m_at, m_profile, m_vec,
 )
 from .order import (
@@ -321,7 +321,6 @@ def _kset_repr(ks):
 def rule_vs_series(t, params):
     """True when the pd-chain length matches the formation rule of a
     psi term with non-zero coefficients."""
-    from .terms import collapsing_series
     if not isinstance(t, Psi) or t.nu_zero:
         raise NotMahloTerm(repr(t))
     rep = check_ot(t, params)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from piord.errors import ArgsNotBelowK, OutOfRange
 from piord.params import SystemParams
-from piord.terms import BIG_K, ONE, ZERO, OmegaExp, Psi, term_size
+from piord.terms import BIG_K, ONE, ZERO, OmegaExp, Psi
 from piord.order import EQ, GT, LT, cmp_ord, le, lt
 from piord.validate import check_ot
 from piord.arith import (
@@ -76,7 +76,7 @@ def test_theorem_bound_examples():
 
 
 def _small(corpus):
-    return st.sampled_from([x for x in corpus.terms if term_size(x) <= 7])
+    return st.sampled_from([x for x in corpus.terms if x.size <= 7])
 
 
 @settings(max_examples=200, deadline=None)

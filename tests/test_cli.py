@@ -36,11 +36,13 @@ def test_check_json_lines():
 
 def test_usage_errors_exit_2():
     code, _, err = run(["cmp", "K"])
-    assert code == 2
+    assert code == 2 and "error:" in err
     code, _, err = run(["check", "phi(0"])
     assert code == 2 and "error:" in err
     code, _, err = run(["--big-n", "2", "check", "0"])
     assert code == 2
+    code, out, _ = run(["--help"])
+    assert code == 0 and out.startswith("usage: piord")
 
 
 def test_arity_flag_controls_n():
@@ -119,6 +121,15 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["check", term])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout.startswith("ok ")
+
+
+def test_too_deep_input_is_a_usage_error():
+    # 300 tower levels exceed the recursion limit of a cold process
+    proc = _fresh_cli(["bound", "--n", "300"])
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_explicit_zero_vector_claim_fails():

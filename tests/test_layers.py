@@ -1,0 +1,37 @@
+"""The layer map of the benchmark's traced run still matches the code.
+
+Every function and call site named in `perfbench/layers.json` must exist,
+and each call site must be bound to one of the layer functions, so that a
+rename fails here rather than only in a traced benchmark run.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
+
+
+def _resolve(qualname):
+    module, _, attr = qualname.rpartition(".")
+    return getattr(importlib.import_module(module), attr)
+
+
+def _layer_functions():
+    layers = json.loads(LAYERS.read_text(encoding="utf-8"))
+    names = [q for layer in layers["layers"].values()
+             for funcs in layer.values() for q in funcs]
+    return layers, names
+
+
+def test_every_layer_function_resolves():
+    _, names = _layer_functions()
+    for qualname in names:
+        assert callable(_resolve(qualname)), qualname
+
+
+def test_every_call_site_is_bound_to_a_layer_function():
+    layers, names = _layer_functions()
+    functions = {id(_resolve(q)) for q in names}
+    for site in layers["call_sites"]:
+        assert id(_resolve(site)) in functions, site

@@ -5,7 +5,7 @@ from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     collapsing_series, is_successor_term, k_components, m_at, m_profile,
     mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_idx,
-    pd, pd_iter, prec, prec_eq, term_size, strip_zeros,
+    pd, pd_iter, prec, prec_eq, strip_zeros,
 )
 from piord.params import SystemParams
 from piord.arith import add, from_int, psiK, psi_step, psi0
@@ -20,25 +20,25 @@ def test_interning_gives_identity():
 
 
 def test_term_size_atoms():
-    assert term_size(ZERO) == 1
-    assert term_size(BIG_K) == 1
-    assert term_size(ONE) == 3          # phi, 0, 0
+    assert ZERO.size == 1
+    assert BIG_K.size == 1
+    assert ONE.size == 3          # phi, 0, 0
 
 
 def test_term_size_psi_zero_vector():
     t = psi0(BIG_K, ZERO, P4)
-    assert term_size(t) == 3            # psi, K, 0
+    assert t.size == 3            # psi, K, 0
 
 
 def test_term_size_lamsum():
     # one base-power: Lambda, exponent 1 (3 symbols), coefficient 2 (7)
     x = mk_lamsum(((mk_eord(ONE), from_int(2)),))
-    assert term_size(x) == 1 + 3 + 7
+    assert x.size == 1 + 3 + 7
 
 
 def test_sum_size_counts_separators():
-    assert term_size(from_int(2)) == 7
-    assert term_size(add(BIG_K, BIG_K)) == 3
+    assert from_int(2).size == 7
+    assert add(BIG_K, BIG_K).size == 3
 
 
 def test_pd_and_series():
@@ -108,7 +108,7 @@ def test_size_decreases_to_subterms(corpus4):
     for t in corpus4.terms[:300]:
         for sub in all_subterms(t):
             if sub is not t:
-                assert term_size(sub) < term_size(t)
+                assert sub.size < t.size
 
 
 def test_prec_strict_partial_order(corpus4):
