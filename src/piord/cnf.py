@@ -173,15 +173,14 @@ def _seq_lt(vec, x):
     return False
 
 
-def seq_lt_k(nu_vec, xi_vec, k, start=2):
+def seq_lt_k(nu_vec, xi_vec, k):
     """Coordinatewise <= below position k, then the tail of nu against
-    the k-th entry of xi (logical indexing from ``start``)."""
+    the k-th entry of xi (logical indexing from 2)."""
     if len(nu_vec) != len(xi_vec):
         raise IndexError("vectors must have equal length")
-    j = k - start
+    j = k - 2
     if not 0 <= j < len(nu_vec):
-        raise IndexError("position %d outside %d..%d"
-                         % (k, start, start + len(nu_vec) - 1))
+        raise IndexError("position %d outside 2..%d" % (k, len(nu_vec) + 1))
     for i in range(j):
         if cmp_exp(nu_vec[i], xi_vec[i]) == GT:
             return False
@@ -256,10 +255,10 @@ def sp_position(nu_vec, x):
 # Head-exponent lexicographic order on coefficient vectors
 # ---------------------------------------------------------------------------
 
-def lx_lt(nu_vec, xi_vec, k=2):
+def lx_lt(nu_vec, xi_vec):
     """The order deciding psi-vs-psi comparison at equal base and stage.
 
-    Vectors are logically indexed k..N-1.  Equal vectors compare False, as
+    Vectors are logically indexed 2..N-1.  Equal vectors compare False, as
     does the case where xi vanishes from the first difference on (the
     definition leaves it open; see the decisions ledger).
     """
@@ -291,10 +290,10 @@ def lx_lt(nu_vec, xi_vec, k=2):
 # Towers, successors, CNF sums
 # ---------------------------------------------------------------------------
 
-def lam_tower(x, i, cap=TOWER_CAP):
+def lam_tower(x, i):
     """The i-fold base-exponential of x."""
-    if i > cap:
-        raise CapExceeded("tower height %d exceeds cap %d" % (i, cap))
+    if i > TOWER_CAP:
+        raise CapExceeded("tower height %d exceeds cap %d" % (i, TOWER_CAP))
     for _ in range(i):
         x = lam_of(x)
     return x

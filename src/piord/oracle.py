@@ -10,6 +10,7 @@ builder-made witness terms exercising those rules.
 """
 
 import functools
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -331,16 +332,17 @@ class CheckReport:
 # Order axioms
 # ---------------------------------------------------------------------------
 
-# the reverse comparison bypasses the memo: antisymmetry is computed, never
-# read back from a stored entry, and the reverse pairs take no memo space
-_cmp_fresh = cmp_ord.__wrapped__
-
-
 def check_order_axioms(corpus, triple_sample=100_000, seed=0):
-    """Trichotomy and antisymmetry on all pairs; transitivity on seeded
-    random triples (all triples when the corpus is tiny)."""
+    """Trichotomy and antisymmetry on all pairs, which must also agree with
+    the corpus's ascending order; transitivity on seeded random triples
+    (all triples when the corpus is tiny)."""
     terms = corpus.terms
     n = len(terms)
+    # both directions of a pair run the uncached body of the comparator
+    # this module names at call time (a substitute is checked as given):
+    # each is computed, never read back from a stored entry, and the pairs
+    # take no memo space
+    cmp_fresh = inspect.unwrap(cmp_ord)
     rep_tri = CheckReport("trichotomy+antisymmetry")
     for i in range(n):
         ti = terms[i]
@@ -348,12 +350,12 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
             tj = terms[j]
             rep_tri.checked += 1
             try:
-                c1 = cmp_ord(ti, tj)
-                c2 = _cmp_fresh(tj, ti)
+                c1 = cmp_fresh(ti, tj)
+                c2 = cmp_fresh(tj, ti)
             except ComparisonUndecided as exc:
                 rep_tri.fail(str(exc))
                 continue
-            if c1 == EQ or c2 != -c1:
+            if c1 != LT or c2 != GT:
                 rep_tri.fail("%s vs %s: %d/%d"
                              % (print_ord(ti), print_ord(tj), c1, c2))
 
@@ -412,13 +414,11 @@ def _exp_pool(corpus, limit=220):
     return seen[:limit]
 
 
-def check_structural_props(corpus, extra_terms=None):
+def check_structural_props(corpus):
     """Every structural proposition, over the corpus plus witness terms."""
     params = corpus.params
-    psis = [t for t in corpus.terms if isinstance(t, Psi)]
-    extras = list(extra_terms) if extra_terms is not None \
-        else witness_terms(params)
-    all_psis = psis + [t for t in extras if isinstance(t, Psi)]
+    all_psis = [t for t in corpus.terms + tuple(witness_terms(params))
+                if isinstance(t, Psi)]
     exps = _exp_pool(corpus)
     reports = []
 
@@ -600,7 +600,7 @@ def _six_cases_lt(s, t):
             if not kset_below(k_delta_set(s, t.nu_comps), b):
                 return True
             if kset_below(k_delta_set(t, s.nu_comps), a) \
-                    and lx_lt(s.nu, t.nu, 2):
+                    and lx_lt(s.nu, t.nu):
                 return True
     return False
 
@@ -609,13 +609,12 @@ def _six_cases_lt(s, t):
 # SD cross-check
 # ---------------------------------------------------------------------------
 
-def sd_cross_check(corpus, entry_cap=5):
+def sd_cross_check(corpus):
     """Derivability implies the necessary conditions on every vector built
-    from small corpus exponents; vectors passing the conditions without a
-    derivation are reported for review, not failed."""
+    from small corpus exponents (at most 5 symbols); vectors passing the
+    conditions without a derivation are reported for review, not failed."""
     params = corpus.params
-    exps = [x for x in _exp_pool(corpus, limit=160)
-            if x.size <= entry_cap]
+    exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
     rep = CheckReport("SD cross-check")
     unconfirmed = []
     vecs = [()]

@@ -197,7 +197,7 @@ def _psi_lt(s, t):
         if c == EQ and pi is ka:                                    # clause 4
             if kset_below(k_delta_set(t, s.nu_comps), a):
                 from .cnf import lx_lt
-                if lx_lt(nu, xi, 2):
+                if lx_lt(nu, xi):
                     return True
     return False
 

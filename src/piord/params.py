@@ -17,10 +17,6 @@ class SystemParams:
         if self.n < 3:
             raise ValueError("N must be at least 3, got %r" % (self.n,))
 
-    @property
-    def seq_len(self):
-        return self.n - 2
-
     def logical_indices(self):
         """Logical coefficient positions 2..N-1."""
         return range(2, self.n)

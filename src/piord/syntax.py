@@ -8,68 +8,18 @@
 
 Decimal literals abbreviate finite sums of phi(0,0).  Parsing is structural:
 normal-form side conditions are left to validation, so ``check`` can report
-on ill-formed input.
+on ill-formed input.  The printers are defined in :mod:`piord.terms`, where
+they are every node's ``repr``, and exported from here as well.
 """
 
 from .errors import ArityError, OrdSyntaxError
 from .terms import (
-    BIG_K, E_ZERO, ONE, ZERO,
-    BigKT, EOrd, EZeroT, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
+    BIG_K, E_ZERO, ONE, ZERO, EZeroT, Sum, ZeroT,
     mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
+    print_exp, print_ord, print_seq,
 )
 
 __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-def print_ord(t):
-    if isinstance(t, ZeroT):
-        return "0"
-    if isinstance(t, BigKT):
-        return "K"
-    parts = t.parts if isinstance(t, Sum) else (t,)
-    # coalesce the maximal run of trailing ones into a decimal literal
-    k = len(parts)
-    while k > 0 and parts[k - 1] is ONE:
-        k -= 1
-    chunks = [_print_principal(p) for p in parts[:k]]
-    ones = len(parts) - k
-    if ones:
-        chunks.append(str(ones))
-    return "+".join(chunks)
-
-
-def _print_principal(t):
-    if isinstance(t, Veblen):
-        return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
-    if isinstance(t, OmegaExp):
-        return "w^(%s)" % print_ord(t.b)
-    if isinstance(t, OmegaIdx):
-        return "Om(%s)" % print_ord(t.b)
-    if isinstance(t, Psi):
-        if t.nu_zero:
-            return "psi(%s; %s)" % (print_ord(t.pi), print_ord(t.a))
-        return "psi(%s; %s; %s)" % (
-            print_ord(t.pi), print_seq(t.nu), print_ord(t.a))
-    if isinstance(t, BigKT):
-        return "K"
-    raise ValueError("not a principal term: %r" % (t,))
-
-
-def print_exp(x):
-    if isinstance(x, EZeroT):
-        return "0"
-    if isinstance(x, EOrd):
-        return print_ord(x.a)
-    return "+".join("L^(%s)*(%s)" % (print_exp(e), print_ord(c))
-                    for e, c in x.pairs)
-
-
-def print_seq(vec):
-    return "[%s]" % ",".join(print_exp(e) for e in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Ordinal terms (class ``Ord``) name ordinals below the big epsilon base;
 exponent terms (class ``Exp``) name ordinals below the next epsilon number,
 written in Cantor normal form with the big base.  All nodes are interned:
 building the same shape twice returns the same object, so equality is
-identity and terms key dicts at pointer speed.
+identity and terms key dicts at pointer speed.  Every node's ``repr`` is
+its spelling in the grammar of :mod:`piord.syntax`.
 
 Raw factories (``mk_*``) perform only structural sanity checks; normal-form
 side conditions live in :mod:`piord.validate` and normalizing constructors
 in :mod:`piord.arith`.
 """
+
+import functools
 
 from .errors import MalformedChain
 
@@ -25,6 +28,7 @@ __all__ = [
     "m_at", "m_profile",
     "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
     "all_subterms",
+    "print_ord", "print_exp", "print_seq",
 ]
 
 
@@ -33,84 +37,60 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Ord:
-    """Base class of ordinal term nodes."""
+    """Base class of ordinal term nodes; repr is the grammar spelling."""
     __slots__ = ("size",)
+
+    def __repr__(self):
+        return print_ord(self)
 
 
 class ZeroT(Ord):
     __slots__ = ()
 
-    def __repr__(self):
-        return "0"
-
 
 class BigKT(Ord):
     __slots__ = ()
-
-    def __repr__(self):
-        return "K"
 
 
 class Sum(Ord):
     """Non-empty sum of at least two principal terms, weakly decreasing."""
     __slots__ = ("parts",)
 
-    def __repr__(self):
-        return "+".join(repr(p) for p in self.parts)
-
 
 class Veblen(Ord):
     __slots__ = ("b", "g")
-
-    def __repr__(self):
-        return "phi(%r,%r)" % (self.b, self.g)
 
 
 class OmegaExp(Ord):
     """omega**b for b above the top regular term."""
     __slots__ = ("b",)
 
-    def __repr__(self):
-        return "w^(%r)" % (self.b,)
-
 
 class OmegaIdx(Ord):
     """Om_b for 0 < b below the top regular term."""
     __slots__ = ("b",)
-
-    def __repr__(self):
-        return "Om(%r)" % (self.b,)
 
 
 class Psi(Ord):
     """Collapsing term psi_pi^nu(a); nu is a tuple of Exp, length N - 2."""
     __slots__ = ("pi", "nu", "a", "nu_comps", "nu_zero")
 
-    def __repr__(self):
-        if self.nu_zero:
-            return "psi(%r;%r)" % (self.pi, self.a)
-        return "psi(%r;[%s];%r)" % (
-            self.pi, ",".join(repr(e) for e in self.nu), self.a)
-
 
 class Exp:
-    """Base class of exponent term nodes."""
+    """Base class of exponent term nodes; repr is the grammar spelling."""
     __slots__ = ("size", "comps")
+
+    def __repr__(self):
+        return print_exp(self)
 
 
 class EZeroT(Exp):
     __slots__ = ()
 
-    def __repr__(self):
-        return "0"
-
 
 class EOrd(Exp):
     """A positive ordinal term viewed as an exponent (base-power zero)."""
     __slots__ = ("a",)
-
-    def __repr__(self):
-        return repr(self.a)
 
 
 class LamSum(Exp):
@@ -120,24 +100,14 @@ class LamSum(Exp):
     (such values never validate as coefficient entries)."""
     __slots__ = ("pairs",)
 
-    def __repr__(self):
-        return "+".join("L^(%r)*(%r)" % (e, c) for e, c in self.pairs)
-
 
 # ---------------------------------------------------------------------------
 # Interning
 # ---------------------------------------------------------------------------
 
-# never cleared: interned identity must outlive order.clear_caches()
-_POOL = {}
-
-
-def _intern(key, build):
-    t = _POOL.get(key)
-    if t is None:
-        t = _POOL[key] = build()
-    return t
-
+# Each constructor is cached on its positional arguments, so the same shape
+# always yields the same object.  These caches are not registered with
+# order.memo: interned identity must outlive order.clear_caches().
 
 def _new(cls):
     return object.__new__(cls)
@@ -157,99 +127,90 @@ E_ZERO.comps = frozenset()
 
 
 def mk_sum(parts):
-    parts = tuple(parts)
+    return _mk_sum(tuple(parts))
+
+
+@functools.cache
+def _mk_sum(parts, /):
     assert len(parts) >= 2, "a sum needs at least two parts"
     for p in parts:
         assert isinstance(p, Ord) and not isinstance(p, (ZeroT, Sum)), \
             "sum parts must be principal terms"
-
-    def build():
-        t = _new(Sum)
-        t.parts = parts
-        t.size = sum(p.size for p in parts) + len(parts) - 1
-        return t
-
-    return _intern(("+",) + parts, build)
+    t = _new(Sum)
+    t.parts = parts
+    t.size = sum(p.size for p in parts) + len(parts) - 1
+    return t
 
 
-def mk_veblen(b, g):
-    def build():
-        t = _new(Veblen)
-        t.b, t.g = b, g
-        t.size = 1 + b.size + g.size
-        return t
-
-    return _intern(("phi", b, g), build)
+@functools.cache
+def mk_veblen(b, g, /):
+    t = _new(Veblen)
+    t.b, t.g = b, g
+    t.size = 1 + b.size + g.size
+    return t
 
 
-def mk_omega_exp(b):
-    def build():
-        t = _new(OmegaExp)
-        t.b = b
-        t.size = 1 + b.size
-        return t
-
-    return _intern(("w", b), build)
+@functools.cache
+def mk_omega_exp(b, /):
+    t = _new(OmegaExp)
+    t.b = b
+    t.size = 1 + b.size
+    return t
 
 
-def mk_omega_idx(b):
-    def build():
-        t = _new(OmegaIdx)
-        t.b = b
-        t.size = 1 + b.size
-        return t
-
-    return _intern(("Om", b), build)
+@functools.cache
+def mk_omega_idx(b, /):
+    t = _new(OmegaIdx)
+    t.b = b
+    t.size = 1 + b.size
+    return t
 
 
 def mk_psi(pi, nu, a):
-    nu = tuple(nu)
+    return _mk_psi(pi, tuple(nu), a)
+
+
+@functools.cache
+def _mk_psi(pi, nu, a, /):
     assert all(isinstance(e, Exp) for e in nu)
-
-    def build():
-        t = _new(Psi)
-        t.pi, t.nu, t.a = pi, nu, a
-        # zero coefficient entries are notation padding and cost no symbols
-        t.size = 1 + pi.size + a.size + sum(
-            e.size for e in nu if e is not E_ZERO)
-        t.nu_zero = all(e is E_ZERO for e in nu)
-        t.nu_comps = k_components_vec(nu)
-        return t
-
-    return _intern(("psi", pi, nu, a), build)
+    t = _new(Psi)
+    t.pi, t.nu, t.a = pi, nu, a
+    # zero coefficient entries are notation padding and cost no symbols
+    t.size = 1 + pi.size + a.size + sum(
+        e.size for e in nu if e is not E_ZERO)
+    t.nu_zero = all(e is E_ZERO for e in nu)
+    t.nu_comps = k_components_vec(nu)
+    return t
 
 
-def mk_eord(a):
+@functools.cache
+def mk_eord(a, /):
     assert isinstance(a, Ord) and a is not ZERO, "EOrd wraps positive terms"
-
-    def build():
-        t = _new(EOrd)
-        t.a = a
-        t.size = a.size
-        t.comps = frozenset((a,))
-        return t
-
-    return _intern(("e", a), build)
+    t = _new(EOrd)
+    t.a = a
+    t.size = a.size
+    t.comps = frozenset((a,))
+    return t
 
 
 def mk_lamsum(pairs):
-    pairs = tuple(pairs)
+    return _mk_lamsum(tuple(pairs))
+
+
+@functools.cache
+def _mk_lamsum(pairs, /):
     assert pairs, "a base-power sum needs at least one pair"
     assert not (len(pairs) == 1 and pairs[0][0] is E_ZERO), \
         "a single zero-exponent pair is an EOrd"
-
-    def build():
-        t = _new(LamSum)
-        t.pairs = pairs
-        t.size = sum(1 + e.size + c.size for e, c in pairs) + len(pairs) - 1
-        cs = set()
-        for e, c in pairs:
-            cs.add(c)
-            cs |= k_components(e)
-        t.comps = frozenset(cs)
-        return t
-
-    return _intern(("L",) + pairs, build)
+    t = _new(LamSum)
+    t.pairs = pairs
+    t.size = sum(1 + e.size + c.size for e, c in pairs) + len(pairs) - 1
+    cs = set()
+    for e, c in pairs:
+        cs.add(c)
+        cs |= k_components(e)
+    t.comps = frozenset(cs)
+    return t
 
 
 ONE = mk_veblen(ZERO, ZERO)          # the canonical 1 = phi(0,0)
@@ -423,3 +384,54 @@ def all_subterms(t):
                 stack.append(e)
                 stack.append(c)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Printing in the concrete grammar of piord.syntax
+# ---------------------------------------------------------------------------
+
+def print_ord(t):
+    if isinstance(t, ZeroT):
+        return "0"
+    if isinstance(t, BigKT):
+        return "K"
+    parts = t.parts if isinstance(t, Sum) else (t,)
+    # coalesce the maximal run of trailing ones into a decimal literal
+    k = len(parts)
+    while k > 0 and parts[k - 1] is ONE:
+        k -= 1
+    chunks = [_print_principal(p) for p in parts[:k]]
+    ones = len(parts) - k
+    if ones:
+        chunks.append(str(ones))
+    return "+".join(chunks)
+
+
+def _print_principal(t):
+    if isinstance(t, Veblen):
+        return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
+    if isinstance(t, OmegaExp):
+        return "w^(%s)" % print_ord(t.b)
+    if isinstance(t, OmegaIdx):
+        return "Om(%s)" % print_ord(t.b)
+    if isinstance(t, Psi):
+        if t.nu_zero:
+            return "psi(%s; %s)" % (print_ord(t.pi), print_ord(t.a))
+        return "psi(%s; %s; %s)" % (
+            print_ord(t.pi), print_seq(t.nu), print_ord(t.a))
+    if isinstance(t, BigKT):
+        return "K"
+    raise ValueError("not a principal term: %s" % type(t).__name__)
+
+
+def print_exp(x):
+    if isinstance(x, EZeroT):
+        return "0"
+    if isinstance(x, EOrd):
+        return print_ord(x.a)
+    return "+".join("L^(%s)*(%s)" % (print_exp(e), print_ord(c))
+                    for e, c in x.pairs)
+
+
+def print_seq(vec):
+    return "[%s]" % ",".join(print_exp(e) for e in vec)

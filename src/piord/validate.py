@@ -13,7 +13,7 @@ from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
     collapsing_series, is_strongly_critical,
-    k_components, m_at, m_profile, m_vec,
+    k_components, m_at, m_profile,
 )
 from .order import (
     EQ, GT, LT,
@@ -42,7 +42,6 @@ class ValidationReport:
     ok: bool
     rule: Optional[str]
     checks: Tuple[Tuple[str, bool, str], ...] = ()
-    m_vec: Optional[Tuple] = None
 
     def first_failure(self):
         for name, passed, detail in self.checks:
@@ -55,15 +54,15 @@ def _fail(rule, name, detail=""):
     return ValidationReport(False, rule, ((name, False, detail),))
 
 
-def _ok(rule, checks, mv=None):
-    return ValidationReport(True, rule, tuple(checks), mv)
+def _ok(rule, checks):
+    return ValidationReport(True, rule, tuple(checks))
 
 
 @memo
 def check_ot(t, params):
     """Validate t as a member of the notation system for the given N."""
     if isinstance(t, (ZeroT, BigKT)):
-        return _ok(RULE_ATOM, [("atom", True, "")], m_vec(t, params))
+        return _ok(RULE_ATOM, [("atom", True, "")])
     if isinstance(t, Sum):
         return _check_sum(t, params)
     if isinstance(t, Veblen):
@@ -92,8 +91,7 @@ def _check_sum(t, params):
         if cmp_ord(a, b) == LT:
             return _fail(RULE_SUM, "weakly decreasing",
                          "%r < %r" % (a, b))
-    return _ok(RULE_SUM, [("weakly decreasing", True, "")],
-               m_vec(t, params))
+    return _ok(RULE_SUM, [("weakly decreasing", True, "")])
 
 
 def _check_veblen(t, params):
@@ -113,7 +111,7 @@ def _check_veblen(t, params):
     if t.g is ZERO and is_strongly_critical(t.b):
         return _fail(RULE_VEBLEN, "normal form",
                      "value collapses to the first argument")
-    return _ok(RULE_VEBLEN, [("normal form", True, "")], m_vec(t, params))
+    return _ok(RULE_VEBLEN, [("normal form", True, "")])
 
 
 def _check_omega_exp(t, params):
@@ -122,8 +120,7 @@ def _check_omega_exp(t, params):
         return bad
     if cmp_ord(t.b, BIG_K) != GT:
         return _fail(RULE_OMEGA_EXP, "exponent above top", repr(t.b))
-    return _ok(RULE_OMEGA_EXP, [("exponent above top", True, "")],
-               m_vec(t, params))
+    return _ok(RULE_OMEGA_EXP, [("exponent above top", True, "")])
 
 
 def _check_omega_idx(t, params):
@@ -135,8 +132,7 @@ def _check_omega_idx(t, params):
     if isinstance(t.b, Psi):
         return _fail(RULE_OMEGA_IDX, "normal form",
                      "psi indices are fixed points")
-    return _ok(RULE_OMEGA_IDX, [("index in range", True, "")],
-               m_vec(t, params))
+    return _ok(RULE_OMEGA_IDX, [("index in range", True, "")])
 
 
 @memo
@@ -213,7 +209,7 @@ def _check_psi9(t, params):
     checks.append(("K(pi,a) < a", cond, _kset_repr(ks)))
     if not cond:
         return ValidationReport(False, PSI9, tuple(checks))
-    return _ok(PSI9, checks, t.nu)
+    return _ok(PSI9, checks)
 
 
 def _check_psi10(t, params):
@@ -228,7 +224,7 @@ def _check_psi10(t, params):
     checks.append(("K(b,a) < a", cond, _kset_repr(ks)))
     if not cond:
         return ValidationReport(False, PSI10, tuple(checks))
-    return _ok(PSI10, checks, t.nu)
+    return _ok(PSI10, checks)
 
 
 def _check_psi11(t, params):
@@ -267,7 +263,7 @@ def _check_psi11(t, params):
     checks.append(("K(pi,a,b) u K(K(m(pi))) < a", cond, _kset_repr(ks)))
     if not cond:
         return ValidationReport(False, PSI11, tuple(checks))
-    return _ok(PSI11, checks, t.nu)
+    return _ok(PSI11, checks)
 
 
 def _mvec_components(pi, params):
@@ -305,7 +301,7 @@ def _check_psi12(t, params):
                        cond, repr(top)))
         if not cond:
             return ValidationReport(False, PSI12, tuple(checks))
-    return _ok(PSI12, checks, t.nu)
+    return _ok(PSI12, checks)
 
 
 def _kset_repr(ks):

@@ -115,13 +115,13 @@ def test_sp_position_prefers_longest_part():
 
 def test_lx_lt():
     l1 = lam(E1, ONE)
-    assert lx_lt((E_ZERO, E_ZERO), (l1, E_ZERO), 2)      # nu side vanishes
-    assert not lx_lt((E_ZERO, E1), (l1, E_ZERO), 2)      # 1 < he(L^1*1)=1 fails
-    assert lx_lt((E_ZERO, E1), (lam(E2, ONE), E_ZERO), 2)
-    assert not lx_lt((E1, E_ZERO), (E1, E_ZERO), 2)      # equal vectors
-    assert not lx_lt((E1, E_ZERO), (E_ZERO, E_ZERO), 2)  # xi side vanishes
+    assert lx_lt((E_ZERO, E_ZERO), (l1, E_ZERO))      # nu side vanishes
+    assert not lx_lt((E_ZERO, E1), (l1, E_ZERO))      # 1 < he(L^1*1)=1 fails
+    assert lx_lt((E_ZERO, E1), (lam(E2, ONE), E_ZERO))
+    assert not lx_lt((E1, E_ZERO), (E1, E_ZERO))      # equal vectors
+    assert not lx_lt((E1, E_ZERO), (E_ZERO, E_ZERO))  # xi side vanishes
     with pytest.raises(IndexError):
-        lx_lt((E1,), (E1, E_ZERO), 2)
+        lx_lt((E1,), (E1, E_ZERO))
 
 
 def test_lam_tower():

@@ -2,12 +2,16 @@
 
 Every function and call site named in `perfbench/layers.json` must exist,
 and each call site must be bound to one of the layer functions, so that a
-rename fails here rather than only in a traced benchmark run.
+rename fails here rather than only in a traced benchmark run.  Every name a
+piord module exports in `__all__` must exist as well.
 """
 
 import importlib
 import json
+import pkgutil
 from pathlib import Path
+
+import piord
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
@@ -35,3 +39,10 @@ def test_every_call_site_is_bound_to_a_layer_function():
     functions = {id(_resolve(q)) for q in names}
     for site in layers["call_sites"]:
         assert id(_resolve(site)) in functions, site
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(piord.__path__):
+        module = importlib.import_module("piord." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), "piord.%s.%s" % (info.name, name)

@@ -24,7 +24,7 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
 
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in _MEMOS)
-    # the intern pool is not a memo table: identity outlives a clear
+    # interning is not a registered memo table: identity outlives a clear
     assert parse_ord("psi(K; [0,1]; 1)", p4) is term
     assert enumerate_corpus(p4, 7) == corpus
     assert _reports(corpus) == cold == warm

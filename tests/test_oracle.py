@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import pathlib
 
@@ -118,6 +119,20 @@ def test_mutated_comparator_is_caught(monkeypatch, corpus4):
     reps = oracle.check_order_axioms(corpus4, triple_sample=10, seed=0)
     tri = next(r for r in reps if "trichotomy" in r.name)
     assert not tri.ok and tri.failures
+
+
+def test_unsorted_corpus_is_caught():
+    # two swapped terms: every comparison is consistent, but a pair now
+    # disagrees with the ascending order the corpus claims
+    corpus = enumerate_corpus(P4, 6)
+    terms = list(corpus.terms)
+    terms[10], terms[20] = terms[20], terms[10]
+    swapped = dataclasses.replace(corpus, terms=tuple(terms))
+    tri, _ = check_order_axioms(swapped, triple_sample=0)
+    assert tri.name == "trichotomy+antisymmetry"
+    assert tri.checked == len(terms) * (len(terms) - 1) // 2
+    assert not tri.ok
+    assert tri.failures[0].endswith(": 1/-1")
 
 
 def test_antisymmetry_fault_is_caught(monkeypatch):

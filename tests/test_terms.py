@@ -9,14 +9,39 @@ from piord.terms import (
 )
 from piord.params import SystemParams
 from piord.arith import add, from_int, psiK, psi_step, psi0
+from piord.oracle import enumerate_corpus
+from piord.syntax import parse_ord, print_exp, print_ord
 
+P3 = SystemParams(3)
 P4 = SystemParams(4)
 
 
 def test_interning_gives_identity():
     assert mk_veblen(ZERO, ZERO) is ONE
     assert mk_sum((ONE, ONE)) is mk_sum((ONE, ONE))
+    assert mk_sum([ONE, ONE]) is mk_sum((ONE, ONE))
     assert mk_eord(BIG_K) is mk_eord(BIG_K)
+
+
+def test_cached_constructors_are_positional_only():
+    # a keyword call would key a second cache entry for the same shape
+    with pytest.raises(TypeError):
+        mk_veblen(b=ONE, g=ZERO)
+    with pytest.raises(TypeError):
+        mk_eord(a=ONE)
+
+
+def test_repr_is_the_grammar_printer():
+    for params in (P3, P4):
+        corpus = enumerate_corpus(params, 7)
+        for term in corpus.terms:
+            assert repr(term) == print_ord(term)
+        for vec in corpus.seqs:
+            for e in vec:
+                assert repr(e) == print_exp(e)
+    # a printed failure detail can be pasted back into the parser
+    t = parse_ord("psi(K; [0,1]; 2)", P4)
+    assert parse_ord(repr(t), P4) is t
 
 
 def test_term_size_atoms():

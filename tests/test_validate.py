@@ -3,10 +3,10 @@ import pytest
 from piord.errors import NotMahloTerm, ValidationError
 from piord.params import SystemParams
 from piord.terms import (
-    BIG_K, E_ZERO, ONE, ZERO, mk_eord, mk_lamsum, mk_omega_idx, mk_psi,
-    mk_sum, mk_veblen,
+    BIG_K, E_ZERO, ONE, ZERO, m_vec, mk_eord, mk_lamsum, mk_omega_idx,
+    mk_psi, mk_sum, mk_veblen,
 )
-from piord.validate import check_ot, check_exp, m_vec, rule_vs_series
+from piord.validate import check_ot, check_exp, rule_vs_series
 from piord.arith import add, from_int, psi0, psiK, psi_sd, psi_step
 from piord.syntax import parse_ord
 
@@ -57,7 +57,7 @@ def test_psi9():
 def test_psi10():
     rep = check_ot(t("psi(K; [0,1]; 1)"), P4)
     assert rep.ok and rep.rule == "Psi10"
-    assert rep.m_vec == (E_ZERO, mk_eord(ONE))
+    assert m_vec(t("psi(K; [0,1]; 1)"), P4) == (E_ZERO, mk_eord(ONE))
     # b > a violates the stage bound
     bad = mk_psi(BIG_K, (E_ZERO, mk_eord(from_int(2))), ONE)
     assert not check_ot(bad, P4).ok
