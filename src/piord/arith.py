@@ -13,7 +13,7 @@ from .terms import (
     is_strongly_critical, m_at, m_profile, mk_eord, mk_omega_exp,
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
 )
-from .order import GT, LT, cmp_ord
+from .order import GT, LT, PSI10, PSI11, cmp_ord
 from .cnf import exp_add, from_pairs
 from .validate import ValidationReport, check_ot
 
@@ -137,8 +137,7 @@ def psi0(pi, a, params):
 def psiK(b, a, params):
     """The top-term collapse carrying b at the last coefficient position."""
     if b is ZERO:
-        raise ValidationError(
-            ValidationReport(False, "Psi10", (("0 < b", False, "b=0"),)))
+        raise ValidationError(ValidationReport(PSI10, ("0 < b", "b=0")))
     nu = zero_vec(params.n)[:-1] + (mk_eord(b),)
     return psi(BIG_K, nu, a, params)
 
@@ -148,10 +147,9 @@ def psi_step(pi, b, a, params):
     exponent m_{k+1}(pi) and coefficient b at the last active position."""
     prof = m_profile(pi) if pi is not BIG_K else ()
     if not prof or prof[-1] < 3:
-        raise ValidationError(ValidationReport(
-            False, "Psi11",
-            (("base coefficients", False,
-              "base %r has no coefficient above position 2" % (pi,)),)))
+        raise ValidationError(ValidationReport(PSI11, (
+            "base coefficients",
+            "base %r has no coefficient above position 2" % (pi,))))
     j = prof[-1]
     k = j - 1
     entry = exp_add(m_at(pi, k), from_pairs(((m_at(pi, j), b),)))

@@ -70,17 +70,15 @@ def _check(args, params, emit):
     if rep.ok and zero_claims:
         # the spelling claimed a coefficient-carrying rule; refute it
         name = "0 < b" if zero_claims[0].pi is BIG_K else "non-zero vector"
-        rep = ValidationReport(False, None,
-                               ((name, False, "all-zero vector"),))
+        rep = ValidationReport(None, (name, "all-zero vector"))
     term = print_ord(t)
-    record = {
-        "kind": "check", "term": term, "ok": rep.ok, "rule": rep.rule,
-        "checks": [{"name": n, "ok": okf, "detail": d}
-                   for n, okf, d in rep.checks],
-    }
+    record = {"kind": "check", "term": term, "ok": rep.ok, "rule": rep.rule,
+              "checks": []}
     if rep.ok:
         emit(record, "ok %s (%s)" % (term, rep.rule))
         return 0
+    name, detail = rep.failure
+    record["checks"].append({"name": name, "ok": False, "detail": detail})
     emit(record, "fail %s: %s" % (term, rep.first_failure()))
     return 1
 

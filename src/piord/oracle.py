@@ -9,6 +9,7 @@ corpus small, so the proposition suites also run over a fixed pool of
 builder-made witness terms exercising those rules.
 """
 
+import bisect
 import functools
 import inspect
 import random
@@ -60,19 +61,12 @@ class Corpus:
 
     def index_below(self, t):
         """Number of corpus terms strictly below t."""
-        lo, hi = 0, len(self.terms)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cmp_ord(self.terms[mid], t) == LT:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        key = functools.cmp_to_key(cmp_ord)
+        return bisect.bisect_left(self.terms, key(t), key=key)
 
 
 def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
     """Census of every validated term with at most size_cap symbols."""
-    n = params.n
     ot_by_size = {s: [] for s in range(size_cap + 1)}
     e_by_size = {s: [] for s in range(size_cap + 1)}
     count = 0
@@ -97,12 +91,12 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
             e_by_size[1].append(mk_eord(BIG_K))
 
     for s in range(2, size_cap + 1):
-        _gen_sums(s, ot_by_size, params, keep)
-        _gen_veblen(s, ot_by_size, params, keep)
-        _gen_omega(s, ot_by_size, params, keep)
+        _gen_sums(s, ot_by_size, keep)
+        _gen_veblen(s, ot_by_size, keep)
+        _gen_omega(s, ot_by_size, keep)
         _gen_psi(s, ot_by_size, e_by_size, params, keep)
         if s <= e_cap:
-            _gen_exps(s, ot_by_size, e_by_size, params)
+            _gen_exps(s, ot_by_size, e_by_size)
 
     terms = [t for s in range(size_cap + 1) for t in ot_by_size[s]]
     terms.sort(key=functools.cmp_to_key(cmp_ord))
@@ -115,7 +109,7 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
     return Corpus(params, size_cap, tuple(terms), tuple(seqs))
 
 
-def _gen_sums(s, ot_by_size, params, keep):
+def _gen_sums(s, ot_by_size, keep):
     # weakly decreasing part tuples: pick the head, then parts at most it
     by_size = {sp: [t for t in ot_by_size[sp] if is_principal(t)]
                for sp in range(1, s - 1)}
@@ -136,7 +130,7 @@ def _gen_sums(s, ot_by_size, params, keep):
     rec([], s, None)
 
 
-def _gen_veblen(s, ot_by_size, params, keep):
+def _gen_veblen(s, ot_by_size, keep):
     for sb in range(1, s - 1):
         sg = s - 1 - sb
         for b in ot_by_size[sb]:
@@ -147,7 +141,7 @@ def _gen_veblen(s, ot_by_size, params, keep):
                     keep(mk_veblen(b, g), s)
 
 
-def _gen_omega(s, ot_by_size, params, keep):
+def _gen_omega(s, ot_by_size, keep):
     for b in ot_by_size[s - 1]:
         c = cmp_ord(b, BIG_K)
         if c == GT:
@@ -238,7 +232,7 @@ def _gen_psi_step(s, pi, j, rest, ot_by_size, params, keep):
                 keep(mk_psi(pi, nu, a), s)
 
 
-def _gen_exps(s, ot_by_size, e_by_size, params):
+def _gen_exps(s, ot_by_size, e_by_size):
     # plain ordinal exponents of this size
     for t in ot_by_size[s]:
         if t is not ZERO:

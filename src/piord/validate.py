@@ -1,7 +1,7 @@
 """Membership checking for ordinal and exponent terms.
 
 ``check_ot`` decides which formation rule built a term and verifies that
-rule's side conditions bottom-up, producing a replayable report.  The
+rule's side conditions bottom-up, stopping at the first that fails.  The
 component sets and recorded coefficients live in :mod:`piord.order` and
 :mod:`piord.terms`.
 """
@@ -16,7 +16,7 @@ from .terms import (
     k_components, m_at, m_profile,
 )
 from .order import (
-    EQ, GT, LT,
+    GT, LT,
     cmp_exp, cmp_ord, k_delta, k_delta_exp, k_delta_set, kset_below,
     max_term, memo, rule_tag,
     PSI9, PSI10, PSI11, PSI12,
@@ -39,30 +39,32 @@ RULE_OMEGA_IDX = "OmegaIdx"
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
+    """One verdict: the formation rule that shaped the term (``None`` when
+    none did) and the first failed side condition as ``(name, detail)``,
+    or ``None`` when the term is accepted."""
     rule: Optional[str]
-    checks: Tuple[Tuple[str, bool, str], ...] = ()
+    failure: Optional[Tuple[str, str]] = None
+
+    @property
+    def ok(self):
+        return self.failure is None
 
     def first_failure(self):
-        for name, passed, detail in self.checks:
-            if not passed:
-                return "%s: %s" % (name, detail) if detail else name
-        return None
+        if self.failure is None:
+            return None
+        name, detail = self.failure
+        return "%s: %s" % (name, detail) if detail else name
 
 
 def _fail(rule, name, detail=""):
-    return ValidationReport(False, rule, ((name, False, detail),))
-
-
-def _ok(rule, checks):
-    return ValidationReport(True, rule, tuple(checks))
+    return ValidationReport(rule, (name, detail))
 
 
 @memo
 def check_ot(t, params):
     """Validate t as a member of the notation system for the given N."""
     if isinstance(t, (ZeroT, BigKT)):
-        return _ok(RULE_ATOM, [("atom", True, "")])
+        return ValidationReport(RULE_ATOM)
     if isinstance(t, Sum):
         return _check_sum(t, params)
     if isinstance(t, Veblen):
@@ -91,7 +93,7 @@ def _check_sum(t, params):
         if cmp_ord(a, b) == LT:
             return _fail(RULE_SUM, "weakly decreasing",
                          "%r < %r" % (a, b))
-    return _ok(RULE_SUM, [("weakly decreasing", True, "")])
+    return ValidationReport(RULE_SUM)
 
 
 def _check_veblen(t, params):
@@ -111,7 +113,7 @@ def _check_veblen(t, params):
     if t.g is ZERO and is_strongly_critical(t.b):
         return _fail(RULE_VEBLEN, "normal form",
                      "value collapses to the first argument")
-    return _ok(RULE_VEBLEN, [("normal form", True, "")])
+    return ValidationReport(RULE_VEBLEN)
 
 
 def _check_omega_exp(t, params):
@@ -120,7 +122,7 @@ def _check_omega_exp(t, params):
         return bad
     if cmp_ord(t.b, BIG_K) != GT:
         return _fail(RULE_OMEGA_EXP, "exponent above top", repr(t.b))
-    return _ok(RULE_OMEGA_EXP, [("exponent above top", True, "")])
+    return ValidationReport(RULE_OMEGA_EXP)
 
 
 def _check_omega_idx(t, params):
@@ -132,18 +134,18 @@ def _check_omega_idx(t, params):
     if isinstance(t.b, Psi):
         return _fail(RULE_OMEGA_IDX, "normal form",
                      "psi indices are fixed points")
-    return _ok(RULE_OMEGA_IDX, [("index in range", True, "")])
+    return ValidationReport(RULE_OMEGA_IDX)
 
 
 @memo
 def check_exp(x, params):
     """Validate x as a member of the strict exponent grammar."""
     if isinstance(x, EZeroT):
-        return _ok("EZero", [("zero", True, "")])
+        return ValidationReport("EZero")
     if isinstance(x, EOrd):
         if not check_ot(x.a, params).ok:
             return _fail("EOrd", "subterm", repr(x.a))
-        return _ok("EOrd", [("positive ordinal", True, "")])
+        return ValidationReport("EOrd")
     assert isinstance(x, LamSum)
     if not is_strict_exp(x):
         return _fail("LamSum", "nonzero exponents",
@@ -158,7 +160,7 @@ def check_exp(x, params):
             return _fail("LamSum", "strictly decreasing",
                          "%r then %r" % (prev, e))
         prev = e
-    return _ok("LamSum", [("strictly decreasing", True, "")])
+    return ValidationReport("LamSum")
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +201,25 @@ def _is_regular(pi):
 
 
 def _check_psi9(t, params):
-    checks = []
-    reg = _is_regular(t.pi)
-    checks.append(("regular base", reg, repr(t.pi)))
-    if not reg:
-        return ValidationReport(False, PSI9, tuple(checks))
+    if not _is_regular(t.pi):
+        return _fail(PSI9, "regular base", repr(t.pi))
     ks = k_delta_set(t, (t.pi, t.a))
-    cond = kset_below(ks, t.a)
-    checks.append(("K(pi,a) < a", cond, _kset_repr(ks)))
-    if not cond:
-        return ValidationReport(False, PSI9, tuple(checks))
-    return _ok(PSI9, checks)
+    if not kset_below(ks, t.a):
+        return _fail(PSI9, "K(pi,a) < a", _kset_repr(ks))
+    return ValidationReport(PSI9)
 
 
 def _check_psi10(t, params):
-    checks = []
     b = t.nu[-1].a
-    cond = cmp_ord(b, t.a) <= EQ
-    checks.append(("0 < b <= a", cond, "b=%r a=%r" % (b, t.a)))
-    if not cond:
-        return ValidationReport(False, PSI10, tuple(checks))
+    if cmp_ord(b, t.a) == GT:
+        return _fail(PSI10, "0 < b <= a", "b=%r a=%r" % (b, t.a))
     ks = k_delta_set(t, (b, t.a))
-    cond = kset_below(ks, t.a)
-    checks.append(("K(b,a) < a", cond, _kset_repr(ks)))
-    if not cond:
-        return ValidationReport(False, PSI10, tuple(checks))
-    return _ok(PSI10, checks)
+    if not kset_below(ks, t.a):
+        return _fail(PSI10, "K(b,a) < a", _kset_repr(ks))
+    return ValidationReport(PSI10)
 
 
 def _check_psi11(t, params):
-    checks = []
     pi = t.pi
     prof = m_profile(pi)
     j = prof[-1]                       # position of the last non-zero m
@@ -242,28 +233,20 @@ def _check_psi11(t, params):
                          "entry %d differs from base coefficient" % i)
         if i > k and t.nu[i - 2] is not E_ZERO:
             return _fail(PSI11, "vector tail", "entry %d non-zero" % i)
-    mk = m_at(pi, k)
-    mk1 = m_at(pi, j)
     ps_k = pairs(t.nu[k - 2])
-    ps_m = pairs(mk)
-    shape = (len(ps_k) == len(ps_m) + 1 and ps_k[:len(ps_m)] == ps_m
-             and ps_k[-1][0] is mk1)
-    checks.append(("entry k = m_k + base-power", shape, ""))
-    if not shape:
-        return ValidationReport(False, PSI11, tuple(checks))
+    ps_m = pairs(m_at(pi, k))
+    if not (len(ps_k) == len(ps_m) + 1 and ps_k[:len(ps_m)] == ps_m
+            and ps_k[-1][0] is m_at(pi, j)):
+        return _fail(PSI11, "entry k = m_k + base-power")
     b = ps_k[-1][1]
-    cond = cmp_ord(b, t.a) <= EQ
-    checks.append(("0 < b <= a", cond, "b=%r a=%r" % (b, t.a)))
-    if not cond:
-        return ValidationReport(False, PSI11, tuple(checks))
+    if cmp_ord(b, t.a) == GT:
+        return _fail(PSI11, "0 < b <= a", "b=%r a=%r" % (b, t.a))
     ks = k_delta_set(t, (pi, t.a, b))
     for g in _mvec_components(pi, params):
         ks |= k_delta(t, g)
-    cond = kset_below(ks, t.a)
-    checks.append(("K(pi,a,b) u K(K(m(pi))) < a", cond, _kset_repr(ks)))
-    if not cond:
-        return ValidationReport(False, PSI11, tuple(checks))
-    return _ok(PSI11, checks)
+    if not kset_below(ks, t.a):
+        return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a", _kset_repr(ks))
+    return ValidationReport(PSI11)
 
 
 def _mvec_components(pi, params):
@@ -274,34 +257,24 @@ def _mvec_components(pi, params):
 
 
 def _check_psi12(t, params):
-    checks = []
     pi = t.pi
-    d = in_sd(t.nu)
-    checks.append(("vector in SD", d is not None, ""))
-    if d is None:
-        return ValidationReport(False, PSI12, tuple(checks))
+    if in_sd(t.nu) is None:
+        return _fail(PSI12, "vector in SD")
     m2 = m_at(pi, 2)
-    cond = vec_sp(t.nu, m2)
-    checks.append(("vector sp-below m_2(pi)", cond, repr(m2)))
-    if not cond:
-        return ValidationReport(False, PSI12, tuple(checks))
+    if not vec_sp(t.nu, m2):
+        return _fail(PSI12, "vector sp-below m_2(pi)", repr(m2))
     ks = k_delta_set(t, (pi, t.a))
-    cond = kset_below(ks, t.a)
-    checks.append(("K(pi,a) < a", cond, _kset_repr(ks)))
-    if not cond:
-        return ValidationReport(False, PSI12, tuple(checks))
+    if not kset_below(ks, t.a):
+        return _fail(PSI12, "K(pi,a) < a", _kset_repr(ks))
     # each non-zero entry's components must not all collapse below the stage
-    for i, e in enumerate(t.nu):
+    for i, e in enumerate(t.nu, 2):
         if e is E_ZERO:
             continue
-        comps = k_components(e)
-        top = max_term(comps)
-        cond = kset_below(k_delta_exp(t, e), top)
-        checks.append(("K_a(nu_%d) < max K(nu_%d)" % (i + 2, i + 2),
-                       cond, repr(top)))
-        if not cond:
-            return ValidationReport(False, PSI12, tuple(checks))
-    return _ok(PSI12, checks)
+        top = max_term(k_components(e))
+        if not kset_below(k_delta_exp(t, e), top):
+            return _fail(PSI12, "K_a(nu_%d) < max K(nu_%d)" % (i, i),
+                         repr(top))
+    return ValidationReport(PSI12)
 
 
 def _kset_repr(ks):

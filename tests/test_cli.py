@@ -34,6 +34,17 @@ def test_check_json_lines():
     assert code == 0 and rec["ok"] and rec["rule"] == "Psi9"
 
 
+def test_check_json_lines_lists_only_the_failure():
+    code, out, _ = run(["--format", "json-lines", "check", "psi(K; [0,1]; 1)"])
+    rec = json.loads(out)
+    assert code == 0 and rec["ok"] and rec["checks"] == []
+    code, out, _ = run(["--format", "json-lines", "check", "psi(K; [0,2]; 1)"])
+    rec = json.loads(out)
+    assert code == 1 and not rec["ok"] and rec["rule"] == "Psi10"
+    assert rec["checks"] == [
+        {"name": "0 < b <= a", "ok": False, "detail": "b=2 a=1"}]
+
+
 def test_usage_errors_exit_2():
     code, _, err = run(["cmp", "K"])
     assert code == 2 and "error:" in err
@@ -61,6 +72,11 @@ def test_kset_and_mvec():
     assert out.strip() == "[1,0]"
     code, out, _ = run(["mvec", "K"])
     assert out.strip() == "undefined"
+    code, out, err = run(["kset", "0", "psi(K; [1,0]; 1)"])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: no formation rule shapes ")
 
 
 def test_sd_command():

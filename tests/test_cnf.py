@@ -1,6 +1,6 @@
 import pytest
 
-from piord.errors import NoWitness, UndefinedOnZero
+from piord.errors import CapExceeded, NoWitness, UndefinedOnZero
 from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord, mk_lamsum
 from piord.order import EQ, GT, LT, cmp_exp
 from piord.cnf import (
@@ -129,6 +129,8 @@ def test_lam_tower():
     assert lam_tower(E1, 1) == lam(E1, ONE)
     assert lam_tower(E_ZERO, 1) is E1          # Lambda^0 = 1
     assert lam_tower(E_ZERO, 2) == lam(E1, ONE)
+    with pytest.raises(CapExceeded):
+        lam_tower(E1, 65)                      # one above TOWER_CAP
 
 
 def test_exp_succ_and_add():

@@ -103,6 +103,13 @@ def test_descent_probe(corpus4):
 def test_index_below(corpus4):
     assert corpus4.index_below(ZERO) == 0
     assert corpus4.index_below(corpus4.terms[-1]) == len(corpus4.terms) - 1
+    small = enumerate_corpus(P4, 7)
+    for i, t in enumerate(small.terms):
+        assert small.index_below(t) == i
+    outside = theorem_bound(2, P4)
+    assert outside not in small.terms
+    assert small.index_below(outside) == sum(
+        cmp_ord(t, outside) == LT for t in small.terms)
 
 
 def test_mutated_comparator_is_caught(monkeypatch, corpus4):

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piord.errors import BadDelta
+from piord.errors import BadDelta, InvalidTerm
 from piord.params import SystemParams
-from piord.terms import BIG_K, ONE, ZERO, Psi, mk_eord
+from piord.terms import (
+    BIG_K, E_ONE, E_ZERO, ONE, ZERO, Psi, mk_eord, mk_psi,
+)
 from piord.order import (
     EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta, le, lt,
 )
@@ -94,6 +96,9 @@ def test_k_delta_examples():
     assert k_delta(ZERO, BIG_K) == frozenset()
     with pytest.raises(BadDelta):
         k_delta(ONE, pk)
+    # no formation rule shapes a top collapse with its entry at slot 2
+    with pytest.raises(InvalidTerm):
+        k_delta(ZERO, mk_psi(BIG_K, (E_ONE, E_ZERO), ONE))
 
 
 def test_hull_member_examples():

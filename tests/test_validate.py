@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from piord.errors import NotMahloTerm, ValidationError
@@ -6,7 +8,11 @@ from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO, m_vec, mk_eord, mk_lamsum, mk_omega_idx,
     mk_psi, mk_sum, mk_veblen,
 )
-from piord.validate import check_ot, check_exp, rule_vs_series
+import piord.validate
+from piord.order import clear_caches
+from piord.validate import (
+    ValidationReport, check_ot, check_exp, rule_vs_series,
+)
 from piord.arith import add, from_int, psi0, psiK, psi_sd, psi_step
 from piord.syntax import parse_ord
 
@@ -130,3 +136,31 @@ def test_rule_vs_series():
 def test_validation_is_cached_and_deterministic():
     term = t("psi(K; [0,1]; 1)")
     assert check_ot(term, P4) is check_ot(term, P4)
+
+
+def test_report_holds_one_verdict():
+    rep = ValidationReport("Psi9")
+    assert [f.name for f in dataclasses.fields(rep)] == ["rule", "failure"]
+    assert rep.ok and rep.first_failure() is None
+    bad = ValidationReport("Psi10", ("0 < b <= a", "b=2 a=1"))
+    assert not bad.ok and bad.first_failure() == "0 < b <= a: b=2 a=1"
+    assert ValidationReport("Psi12", ("vector in SD", "")).first_failure() \
+        == "vector in SD"
+
+
+def test_accepting_formats_no_detail(monkeypatch):
+    pi1 = psiK(ONE, ONE, P4)
+    t11 = psi_step(pi1, from_int(2), from_int(2), P4)
+    t12 = psi_sd(t11, (mk_lamsum(((mk_eord(ONE), ONE),)), E_ZERO),
+                 from_int(3), P4)
+    terms = {"Psi9": t("psi(K; 0)"), "Psi10": t("psi(K; [0,1]; 1)"),
+             "Psi12": t12}
+
+    def boom(ks):
+        raise AssertionError("detail formatted for a passing check")
+
+    monkeypatch.setattr(piord.validate, "_kset_repr", boom)
+    clear_caches()
+    for rule, term in terms.items():
+        rep = check_ot(term, P4)
+        assert rep.ok and rep.rule == rule
