@@ -12,9 +12,10 @@ builder-made witness terms exercising those rules.
 import bisect
 import functools
 import inspect
+import itertools
 import random
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .params import SystemParams
 from .terms import (
@@ -55,9 +56,6 @@ class Corpus:
     size_cap: int
     terms: Tuple    # validated ordinal terms, sorted ascending
     seqs: Tuple     # coefficient vectors encountered, generation order
-
-    def __len__(self):
-        return len(self.terms)
 
     def index_below(self, t):
         """Number of corpus terms strictly below t."""
@@ -302,24 +300,38 @@ def witness_terms(params):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     name: str
-    checked: int = 0
-    failures: List[str] = field(default_factory=list)
+    checked: int
+    failures: Tuple[str, ...]
 
     @property
     def ok(self):
         return not self.failures
-
-    def fail(self, msg):
-        self.failures.append(msg)
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
         extra = "" if self.ok else "  e.g. " + self.failures[0]
         return "%-28s %s  (%d checked)%s" % (self.name, status,
                                              self.checked, extra)
+
+
+def _suite(name, cases, fails):
+    """Check every case, an argument tuple for fails (``zip(xs)`` gives
+    one-argument cases).  fails(*case) returns None or the case's failure
+    message; a comparison it leaves undecided fails the case too."""
+    checked = 0
+    failures = []
+    for case in cases:
+        checked += 1
+        try:
+            msg = fails(*case)
+        except ComparisonUndecided as exc:
+            msg = str(exc)
+        if msg is not None:
+            failures.append(msg)
+    return CheckReport(name, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -337,46 +349,27 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     # each is computed, never read back from a stored entry, and the pairs
     # take no memo space
     cmp_fresh = inspect.unwrap(cmp_ord)
-    rep_tri = CheckReport("trichotomy+antisymmetry")
-    for i in range(n):
-        ti = terms[i]
-        for j in range(i + 1, n):
-            tj = terms[j]
-            rep_tri.checked += 1
-            try:
-                c1 = cmp_fresh(ti, tj)
-                c2 = cmp_fresh(tj, ti)
-            except ComparisonUndecided as exc:
-                rep_tri.fail(str(exc))
-                continue
-            if c1 != LT or c2 != GT:
-                rep_tri.fail("%s vs %s: %d/%d"
-                             % (print_ord(ti), print_ord(tj), c1, c2))
 
-    rep_trans = CheckReport("transitivity")
-    rng = random.Random(seed)
-    if n >= 3:
-        total = n * (n - 1) * (n - 2) // 6
-        if total <= triple_sample:
-            triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
-                       for k in range(j + 1, n))
-        else:
-            def sample():
-                for _ in range(triple_sample):
-                    yield tuple(sorted(rng.sample(range(n), 3)))
-            triples = sample()
-        for i, j, k in triples:
-            a, b, c = terms[i], terms[j], terms[k]
-            rep_trans.checked += 1
-            try:
-                r1, r2, r3 = cmp_ord(a, b), cmp_ord(b, c), cmp_ord(a, c)
-            except ComparisonUndecided as exc:
-                rep_trans.fail(str(exc))
-                continue
-            if r1 == r2 and r3 != r1:
-                rep_trans.fail("%s, %s, %s" % (print_ord(a), print_ord(b),
-                                               print_ord(c)))
-    return [rep_tri, rep_trans]
+    def antisymmetric(ti, tj):
+        c1 = cmp_fresh(ti, tj)
+        c2 = cmp_fresh(tj, ti)
+        if c1 != LT or c2 != GT:
+            return "%s vs %s: %d/%d" % (print_ord(ti), print_ord(tj), c1, c2)
+
+    def transitive(a, b, c):
+        r1, r2, r3 = cmp_ord(a, b), cmp_ord(b, c), cmp_ord(a, c)
+        if r1 == r2 and r3 != r1:
+            return "%s, %s, %s" % (print_ord(a), print_ord(b), print_ord(c))
+
+    if n * (n - 1) * (n - 2) // 6 <= triple_sample:
+        triples = itertools.combinations(terms, 3)
+    else:
+        rng = random.Random(seed)
+        triples = ([terms[i] for i in sorted(rng.sample(range(n), 3))]
+                   for _ in range(triple_sample))
+    return [_suite("trichotomy+antisymmetry", itertools.combinations(terms, 2),
+                   antisymmetric),
+            _suite("transitivity", triples, transitive)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,156 +406,120 @@ def check_structural_props(corpus):
     params = corpus.params
     all_psis = [t for t in corpus.terms + tuple(witness_terms(params))
                 if isinstance(t, Psi)]
+    collapses = [t for t in all_psis if not t.nu_zero]
     exps = _exp_pool(corpus)
-    reports = []
-
-    # head/tail monotonicity along the exponent order
-    rep = CheckReport("head exponent monotonicity")
     big = [x for x in exps if cmp_exp(x, E_ONE) == GT]
-    for i, x in enumerate(big):
-        for y in big[i + 1:]:
-            lo, hi = (x, y) if cmp_exp(x, y) == LT else (y, x)
-            rep.checked += 1
-            if not (cmp_exp(te(lo), he(lo)) <= EQ
-                    and cmp_exp(he(lo), he(hi)) <= EQ):
-                rep.fail("%s < %s" % (lo, hi))
-    reports.append(rep)
-
-    # sequence order is upward closed in its bound
-    rep = CheckReport("sequence order upward closure")
-    lams = [x for x in exps if isinstance(x, LamSum)]
-    head = exps[:30] + lams[:25]
+    head = exps[:30] + [x for x in exps if isinstance(x, LamSum)][:25]
     vecs = [strip_zeros(v) for v in corpus.seqs if strip_zeros(v)]
-    for vec in vecs:
-        for xi in head:
-            if not seq_lt(vec, xi):
-                continue
-            for zeta in head:
-                if cmp_exp(xi, zeta) <= EQ:
-                    rep.checked += 1
-                    if not seq_lt(vec, zeta):
-                        rep.fail("%s < %s <= %s" % (list(vec), xi, zeta))
-    reports.append(rep)
-
-    # irreducible vectors sit below anything dominating their first entry
-    rep = CheckReport("irreducible vector bound")
-    seq_pool = list(corpus.seqs)
-    seen_vec = set(seq_pool)
-    for t in all_psis:
-        if t.nu not in seen_vec:
-            seen_vec.add(t.nu)
-            seq_pool.append(t.nu)
-    for vec0 in seq_pool:
-        if not strip_zeros(vec0) or not irreducible(vec0):
-            continue
-        k0 = next(i for i, e in enumerate(vec0) if e is not E_ZERO)
-        for xi in head:
-            h = he_iter(xi, k0)
-            if h is None or cmp_exp(vec0[k0], h) != LT:
-                continue
-            rep.checked += 1
-            if not seq_lt(vec0, xi):
-                rep.fail("%s vs %s" % (list(vec0), xi))
-    reports.append(rep)
-
-    # the four necessary conditions on derivable vectors
-    rep = CheckReport("SD necessary conditions")
-    for vec in seq_pool:
-        d = in_sd(vec)
-        if d is None:
-            continue
-        rep.checked += 1
-        conds = sd_necessary_conditions(vec)
-        if not conds.all_hold:
-            rep.fail("%s: %s" % (print_seq(vec), conds))
-        if replay(d, params.n) != vec:
-            rep.fail("replay mismatch for %s" % (print_seq(vec),))
-    reports.append(rep)
-
-    # recorded vectors of collapse terms are derivable
-    rep = CheckReport("recorded vectors derivable")
-    for t in all_psis:
-        if t.nu_zero:
-            continue
-        rep.checked += 1
-        if in_sd(t.nu) is None:
-            rep.fail(print_ord(t))
-    reports.append(rep)
-
-    # stages grow along collapse chains
-    rep = CheckReport("stage growth along chains")
-    for t in all_psis:
-        if isinstance(t.pi, Psi):
-            rep.checked += 1
-            if cmp_ord(t.pi.a, t.a) != LT:
-                rep.fail(print_ord(t))
-    reports.append(rep)
-
-    # vector components never exceed the stage
-    rep = CheckReport("components below stage")
-    for t in all_psis:
-        rep.checked += 1
-        for g in t.nu_comps:
-            if cmp_ord(g, t.a) == GT:
-                rep.fail("%s: component %s" % (print_ord(t), print_ord(g)))
-                break
-    reports.append(rep)
-
-    # component sets of sums contain those of their tails
-    rep = CheckReport("component sets of sums")
+    seq_pool = list(dict.fromkeys(corpus.seqs + tuple(t.nu for t in all_psis)))
     deltas = [ZERO, BIG_K] + [t for t in corpus.terms
                               if isinstance(t, Psi)][:4]
     sums = [t for t in corpus.terms if isinstance(t, Sum)][:200]
-    for t in sums:
-        for d in deltas:
-            ks = k_delta(d, t)
-            kt = k_delta(d, t.parts[-1])
-            rep.checked += 1
-            if not kt <= ks:
-                rep.fail("%s under %s" % (print_ord(t), print_ord(d)))
-    reports.append(rep)
+    sample = all_psis[:80]
+
+    # head/tail monotonicity along the exponent order
+    def head_monotone(x, y):
+        lo, hi = (x, y) if cmp_exp(x, y) == LT else (y, x)
+        if not (cmp_exp(te(lo), he(lo)) <= EQ
+                and cmp_exp(he(lo), he(hi)) <= EQ):
+            return "%s < %s" % (lo, hi)
+
+    # sequence order is upward closed in its bound
+    upward = ((vec, xi, zeta) for vec in vecs for xi in head
+              if seq_lt(vec, xi) for zeta in head if cmp_exp(xi, zeta) <= EQ)
+
+    def upward_closed(vec, xi, zeta):
+        if not seq_lt(vec, zeta):
+            return "%s < %s <= %s" % (list(vec), xi, zeta)
+
+    # irreducible vectors sit below anything dominating their first entry
+    def dominated():
+        for vec0 in seq_pool:
+            if not strip_zeros(vec0) or not irreducible(vec0):
+                continue
+            k0 = next(i for i, e in enumerate(vec0) if e is not E_ZERO)
+            for xi in head:
+                h = he_iter(xi, k0)
+                if h is not None and cmp_exp(vec0[k0], h) == LT:
+                    yield vec0, xi
+
+    def below_dominator(vec0, xi):
+        if not seq_lt(vec0, xi):
+            return "%s vs %s" % (list(vec0), xi)
+
+    # the four necessary conditions on derivable vectors
+    derivable = ((vec, d) for vec in seq_pool if (d := in_sd(vec)) is not None)
+
+    def sd_conditions(vec, d):
+        conds = sd_necessary_conditions(vec)
+        if not conds.all_hold:
+            return "%s: %s" % (print_seq(vec), conds)
+        if replay(d, params.n) != vec:
+            return "replay mismatch for %s" % (print_seq(vec),)
+
+    # recorded vectors of collapse terms are derivable
+    def recorded_derivable(t):
+        if in_sd(t.nu) is None:
+            return print_ord(t)
+
+    # stages grow along collapse chains
+    def stage_grows(t):
+        if cmp_ord(t.pi.a, t.a) != LT:
+            return print_ord(t)
+
+    # vector components never exceed the stage
+    def components_below(t):
+        for g in t.nu_comps:
+            if cmp_ord(g, t.a) == GT:
+                return "%s: component %s" % (print_ord(t), print_ord(g))
+
+    # component sets of sums contain those of their tails
+    def tail_kset_inside(t, d):
+        ks = k_delta(d, t)
+        if not k_delta(d, t.parts[-1]) <= ks:
+            return "%s under %s" % (print_ord(t), print_ord(d))
 
     # chain length determines the formation rule
-    rep = CheckReport("rule vs collapsing series")
-    for t in all_psis:
-        if t.nu_zero:
-            continue
-        rep.checked += 1
+    def rule_matches_series(t):
         if not rule_vs_series(t, params):
-            rep.fail(print_ord(t))
-    reports.append(rep)
+            return print_ord(t)
 
     # the sandwich law around successor-Omega collapses
-    rep = CheckReport("sandwich law")
-    for t in all_psis:
+    def sandwiched(t):
         pi = t.pi
-        if not isinstance(pi, OmegaIdx):
-            continue
-        rep.checked += 1
         if cmp_ord(t, pi) != LT:
-            rep.fail("%s not below %s" % (print_ord(t), print_ord(pi)))
-            continue
+            return "%s not below %s" % (print_ord(t), print_ord(pi))
         if is_successor_term(pi.b):
             pred = _pred_index(pi.b)
             lower = ZERO if pred is ZERO else mk_omega_idx(pred) \
                 if not isinstance(pred, Psi) else pred
             if lower is not ZERO and cmp_ord(lower, t) != LT:
-                rep.fail("%s not above %s" % (print_ord(t), print_ord(lower)))
-    reports.append(rep)
+                return "%s not above %s" % (print_ord(t), print_ord(lower))
 
     # the six-case characterization agrees with the four-clause order
-    rep = CheckReport("psi comparison cases")
-    sample = all_psis[:80]
-    for s in sample:
-        for t in sample:
-            if s is t:
-                continue
-            rep.checked += 1
-            if _six_cases_lt(s, t) != (cmp_ord(s, t) == LT):
-                rep.fail("%s vs %s" % (print_ord(s), print_ord(t)))
-    reports.append(rep)
+    def six_cases_agree(s, t):
+        if _six_cases_lt(s, t) != (cmp_ord(s, t) == LT):
+            return "%s vs %s" % (print_ord(s), print_ord(t))
 
-    return reports
+    return [_suite(*s) for s in (
+        ("head exponent monotonicity", itertools.combinations(big, 2),
+         head_monotone),
+        ("sequence order upward closure", upward, upward_closed),
+        ("irreducible vector bound", dominated(), below_dominator),
+        ("SD necessary conditions", derivable, sd_conditions),
+        ("recorded vectors derivable", zip(collapses), recorded_derivable),
+        ("stage growth along chains",
+         zip(t for t in all_psis if isinstance(t.pi, Psi)), stage_grows),
+        ("components below stage", zip(all_psis), components_below),
+        ("component sets of sums", itertools.product(sums, deltas),
+         tail_kset_inside),
+        ("rule vs collapsing series", zip(collapses), rule_matches_series),
+        ("sandwich law",
+         zip(t for t in all_psis if isinstance(t.pi, OmegaIdx)), sandwiched),
+        ("psi comparison cases",
+         ((s, t) for s in sample for t in sample if s is not t),
+         six_cases_agree),
+    )]
 
 
 def _pred_index(b):
@@ -609,23 +566,22 @@ def sd_cross_check(corpus):
     conditions without a derivation are reported for review, not failed."""
     params = corpus.params
     exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
-    rep = CheckReport("SD cross-check")
     unconfirmed = []
-    vecs = [()]
-    for _ in range(params.n - 2):
-        vecs = [v + (e,) for v in vecs for e in exps]
-    for vec in vecs:
-        rep.checked += 1
+
+    def derivable_iff_conditions(*vec):
         d = in_sd(vec)
         conds = sd_necessary_conditions(vec)
-        if d is not None:
-            if not conds.all_hold:
-                rep.fail("%s accepted but conditions fail" % (print_seq(vec),))
-            elif replay(d, params.n) != vec:
-                rep.fail("%s replay mismatch" % (print_seq(vec),))
-        elif conds.all_hold and not is_zero_vec(vec):
-            unconfirmed.append(vec)
-    return rep, unconfirmed
+        if d is None:
+            if conds.all_hold and not is_zero_vec(vec):
+                unconfirmed.append(vec)
+        elif not conds.all_hold:
+            return "%s accepted but conditions fail" % (print_seq(vec),)
+        elif replay(d, params.n) != vec:
+            return "%s replay mismatch" % (print_seq(vec),)
+
+    return _suite("SD cross-check",
+                  itertools.product(exps, repeat=params.n - 2),
+                  derivable_iff_conditions), unconfirmed
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +590,6 @@ def sd_cross_check(corpus):
 
 @dataclass
 class DescentReport:
-    start: object
-    steps: int
     chain_len: int
     final: object
     hit_bottom: bool
@@ -650,8 +604,7 @@ def descent_probe(start, corpus, steps, seed=0):
     for _ in range(steps):
         below = corpus.index_below(cur)
         if below == 0:
-            return DescentReport(start, steps, length, cur, True)
+            return DescentReport(length, cur, True)
         cur = corpus.terms[rng.randrange(below)]
         length += 1
-    return DescentReport(start, steps, length, cur,
-                         corpus.index_below(cur) == 0)
+    return DescentReport(length, cur, corpus.index_below(cur) == 0)

@@ -1,14 +1,16 @@
 import dataclasses
 import io
 import pathlib
+import types
 
 import pytest
 
-from piord.errors import BudgetExceeded
+from piord.errors import BudgetExceeded, ComparisonUndecided
 from piord.params import SystemParams
 from piord.terms import BIG_K, ZERO, Psi
 import piord.order
-from piord.order import clear_caches, cmp_ord, LT
+import piord.oracle as oracle
+from piord.order import clear_caches, cmp_ord, GT, LT
 from piord.validate import check_ot
 from piord.arith import theorem_bound
 from piord.oracle import (
@@ -16,11 +18,30 @@ from piord.oracle import (
     sd_cross_check, witness_terms,
 )
 from piord.syntax import print_ord
+from piord.cli import main as cli_main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
+
+
+# one seeded fault per report: (report name, piord.oracle binding, stand-in)
+FAULTS = (
+    ("head exponent monotonicity", "te", lambda x: x),
+    ("sequence order upward closure", "cmp_exp", lambda x, y: LT),
+    ("irreducible vector bound", "seq_lt", lambda vec, xi: False),
+    ("SD necessary conditions", "replay", lambda d, n: ()),
+    ("recorded vectors derivable", "in_sd", lambda vec: None),
+    ("stage growth along chains", "cmp_ord", lambda a, b: GT),
+    ("components below stage", "cmp_ord", lambda a, b: GT),
+    ("component sets of sums", "k_delta", lambda d, t: frozenset({t})),
+    ("rule vs collapsing series", "rule_vs_series", lambda t, params: False),
+    ("sandwich law", "cmp_ord", lambda a, b: GT),
+    ("psi comparison cases", "_six_cases_lt", lambda s, t: True),
+    ("SD cross-check", "sd_necessary_conditions",
+     lambda vec: types.SimpleNamespace(all_hold=False)),
+)
 
 
 def test_trivial_caps():
@@ -70,6 +91,48 @@ def test_structural_props_small(corpus3, corpus4):
     for c in (corpus3, corpus4):
         for rep in check_structural_props(c):
             assert rep.ok, rep.line()
+
+
+@pytest.mark.parametrize("name, binding, fault", FAULTS,
+                         ids=[f[0] for f in FAULTS])
+def test_every_suite_can_fail(monkeypatch, corpus3, name, binding, fault):
+    monkeypatch.setattr(oracle, binding, fault)
+    if name == "SD cross-check":
+        reps = [sd_cross_check(corpus3)[0]]
+    else:
+        reps = check_structural_props(corpus3)
+    rep = next(r for r in reps if r.name == name)
+    assert not rep.ok and rep.checked > 0, rep.line()
+
+
+def test_undecided_comparison_fails_its_suite(monkeypatch, corpus3):
+    before = check_structural_props(corpus3)
+
+    def undecided(s, t):
+        raise ComparisonUndecided("no clause decides")
+
+    monkeypatch.setattr(oracle, "_six_cases_lt", undecided)
+    after = check_structural_props(corpus3)
+    assert [(r.name, r.checked) for r in after] == \
+        [(r.name, r.checked) for r in before]
+    for rep in after:
+        assert rep.ok == (rep.name != "psi comparison cases"), rep.line()
+        assert rep.ok or rep.failures[0] == "no clause decides"
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_main(["props", "--size-cap", "7"], out, err) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 15 and lines[-1].startswith("sd-unconfirmed")
+    assert [x for x in lines if " FAIL " in x] == [
+        x for x in lines if x.startswith("psi comparison cases")]
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_props_match_golden(n):
+    out = io.StringIO()
+    argv = ["--big-n", str(n), "props", "--size-cap", "8"]
+    assert cli_main(argv, out, io.StringIO()) == 0
+    assert out.getvalue() == (GOLDEN / ("props_n%d_cap8.txt" % n)).read_text()
 
 
 def test_sd_cross_check_small(corpus4):
@@ -126,6 +189,19 @@ def test_mutated_comparator_is_caught(monkeypatch, corpus4):
     reps = oracle.check_order_axioms(corpus4, triple_sample=10, seed=0)
     tri = next(r for r in reps if "trichotomy" in r.name)
     assert not tri.ok and tri.failures
+
+
+def test_intransitive_comparator_is_caught(monkeypatch):
+    corpus = enumerate_corpus(P4, 4)
+    a, _, c = corpus.terms[:3]
+
+    def broken(x, y):
+        return GT if (x, y) == (a, c) else cmp_ord(x, y)
+
+    monkeypatch.setattr(oracle, "cmp_ord", broken)
+    _, trans = check_order_axioms(corpus)
+    assert trans.name == "transitivity" and not trans.ok
+    assert trans.failures[0] == "0, 1, Om(1)"
 
 
 def test_unsorted_corpus_is_caught():
