@@ -8,7 +8,6 @@ writes one json-lines record or one text line, as ``--format`` asks.
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 from .params import SystemParams
@@ -40,10 +39,12 @@ def main(argv=None, stdout=None, stderr=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         params = SystemParams(args.big_n)
-    except ValueError as exc:
+    except (ValueError, PiordError) as exc:
         stderr.write("error: %s\n" % (exc,))
         return 2
     if args.format == "json-lines":
+        import json  # text output, the common case, never loads it
+
         def emit(record, text):
             stdout.write(json.dumps(record, sort_keys=True) + "\n")
     else:

@@ -57,6 +57,10 @@ class BudgetExceeded(PiordError):
     """Enumeration exceeded its configured term budget."""
 
 
+class LimitExceeded(PiordError):
+    """An input number lies above its stated limit."""
+
+
 class OrdSyntaxError(PiordError):
     """Parse failure, with the offending position."""
 

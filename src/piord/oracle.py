@@ -11,13 +11,10 @@ builder-made witness terms exercising those rules.
 
 import bisect
 import functools
-import inspect
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
-from .params import SystemParams
 from .terms import (
     BIG_K, E_ZERO, E_ONE, ONE, ZERO,
     LamSum, OmegaIdx, Psi, Sum,
@@ -50,12 +47,11 @@ DEFAULT_BUDGET = 60_000
 # Corpus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Corpus:
-    params: SystemParams
-    size_cap: int
-    terms: Tuple    # validated ordinal terms, sorted ascending
-    seqs: Tuple     # coefficient vectors encountered, generation order
+class Corpus(namedtuple("Corpus", "params size_cap terms seqs")):
+    """terms: the validated ordinal terms, sorted ascending; seqs: the
+    coefficient vectors encountered, in generation order."""
+
+    __slots__ = ()
 
     def index_below(self, t):
         """Number of corpus terms strictly below t."""
@@ -300,11 +296,10 @@ def witness_terms(params):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    checked: int
-    failures: Tuple[str, ...]
+class CheckReport(namedtuple("CheckReport", "name checked failures")):
+    """failures: a tuple of messages, one per failed case."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -348,7 +343,9 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     # this module names at call time (a substitute is checked as given):
     # each is computed, never read back from a stored entry, and the pairs
     # take no memo space
-    cmp_fresh = inspect.unwrap(cmp_ord)
+    cmp_fresh = cmp_ord
+    while hasattr(cmp_fresh, "__wrapped__"):
+        cmp_fresh = cmp_fresh.__wrapped__
 
     def antisymmetric(ti, tj):
         c1 = cmp_fresh(ti, tj)
@@ -588,11 +585,7 @@ def sd_cross_check(corpus):
 # Descent probes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DescentReport:
-    chain_len: int
-    final: object
-    hit_bottom: bool
+DescentReport = namedtuple("DescentReport", "chain_len final hit_bottom")
 
 
 def descent_probe(start, corpus, steps, seed=0):

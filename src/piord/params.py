@@ -1,21 +1,30 @@
 """System parameters fixing the reflection rank N."""
 
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .errors import LimitExceeded
+
+# Vectors have N - 2 entries and every psi term of a census holds one, so
+# N is bounded before any vector is built.
+MAX_N = 100
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Fixes the integer N >= 3; coefficient vectors have length N - 2.
+class SystemParams(namedtuple("SystemParams", "n")):
+    """Fixes the integer 3 <= N <= MAX_N; coefficient vectors have length
+    N - 2.
 
     Logical coefficient indices run 2..N-1; storage index 0 is logical 2.
     Terms built for different parameter sets must never be mixed.
     """
 
-    n: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("N must be at least 3, got %r" % (self.n,))
+    def __new__(cls, n=4):
+        if n < 3:
+            raise ValueError("N must be at least 3, got %r" % (n,))
+        if n > MAX_N:
+            raise LimitExceeded("N must be at most %d, got %r" % (MAX_N, n))
+        return super().__new__(cls, n)
 
     def logical_indices(self):
         """Logical coefficient positions 2..N-1."""

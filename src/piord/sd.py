@@ -5,10 +5,9 @@ last-extended position and recurse on the two premise vectors.  Successful
 searches return a replayable derivation.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from collections import namedtuple
 
-from .terms import E_ZERO, EOrd, Exp, Ord, ZERO, is_zero_vec, mk_eord
+from .terms import E_ZERO, EOrd, ZERO, is_zero_vec, mk_eord
 from .cnf import (
     exp_add, from_pairs, irreducible, pairs, te, vec_step_down,
 )
@@ -20,32 +19,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Base:
-    """The axiom: zeros followed by a single ordinal entry."""
-    a: Ord
+# The axiom: zeros followed by a single ordinal entry a.
+Base = namedtuple("Base", "a")
+
+# Add a base-power with exponent zeta and coefficient a at logical position
+# k; the tail is either kept or zeroed.
+Extend = namedtuple("Extend", "k zeta a keep_tail")
+
+# steps: a tuple of Base and Extend steps, in the order they apply;
+# seq: the derived vector.
+SdDerivation = namedtuple("SdDerivation", "steps seq")
 
 
-@dataclass(frozen=True)
-class Extend:
-    """Add a base-power with exponent zeta and coefficient a at logical
-    position k; the tail is either kept or zeroed."""
-    k: int
-    zeta: Exp
-    a: Ord
-    keep_tail: bool
-
-
-Step = Union[Base, Extend]
-
-
-@dataclass(frozen=True)
-class SdDerivation:
-    steps: Tuple[Step, ...]
-    seq: Tuple[Exp, ...]
-
-
-def in_sd(seq) -> Optional[SdDerivation]:
+def in_sd(seq):
     """A derivation of the vector, or None when there is none.
 
     The vector carries logical indices 2..N-1; N is read off its length.
@@ -121,12 +107,10 @@ def replay(derivation, n):
 # Necessary conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SdConditions:
-    prefixes_in_sd: bool
-    no_zero_gap: bool
-    tail_step_down: bool
-    irreducible: bool
+class SdConditions(namedtuple(
+        "SdConditions",
+        "prefixes_in_sd no_zero_gap tail_step_down irreducible")):
+    __slots__ = ()
 
     @property
     def all_hold(self):

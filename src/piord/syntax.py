@@ -21,6 +21,10 @@ from .terms import (
 
 __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 
+# A numeral n builds a sum of n ones, so its value is bounded before the
+# sum is allocated; the cap-11 census writes no numeral above 3.
+MAX_NUMERAL = 1000
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -80,7 +84,7 @@ class _Parser:
 
     def ord_chunk(self):
         c = self.peek()
-        if c.isdigit():
+        if c.isdecimal():
             return self.number()
         if c == "K":
             self.expect("K")
@@ -90,9 +94,13 @@ class _Parser:
     def number(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        k = int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        # the length test comes first, so a long digit run is never converted
+        if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+            self.error("numeral above %d" % MAX_NUMERAL, start)
+        k = int(digits)
         if k == 0:
             return ZERO
         if k == 1:

@@ -6,8 +6,7 @@ component sets and recorded coefficients live in :mod:`piord.order` and
 :mod:`piord.terms`.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from collections import namedtuple
 
 from .terms import (
     BIG_K, E_ZERO, ZERO,
@@ -37,13 +36,13 @@ RULE_OMEGA_EXP = "OmegaExp"
 RULE_OMEGA_IDX = "OmegaIdx"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "rule failure",
+                                  defaults=(None,))):
     """One verdict: the formation rule that shaped the term (``None`` when
     none did) and the first failed side condition as ``(name, detail)``,
     or ``None`` when the term is accepted."""
-    rule: Optional[str]
-    failure: Optional[Tuple[str, str]] = None
+
+    __slots__ = ()
 
     @property
     def ok(self):

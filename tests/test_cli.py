@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from piord.cli import main
+from piord.syntax import MAX_NUMERAL
 
 
 def run(argv):
@@ -52,8 +53,20 @@ def test_usage_errors_exit_2():
     assert code == 2 and "error:" in err
     code, _, err = run(["--big-n", "2", "check", "0"])
     assert code == 2
+    code, _, err = run(["check", "\u00b2"])  # a digit that is not decimal
+    assert code == 2 and err.startswith("error:")
     code, out, _ = run(["--help"])
     assert code == 0 and out.startswith("usage: piord")
+
+
+def test_numbers_past_their_limit_are_usage_errors():
+    for argv in (["check", "99999999999999999999"],
+                 ["check", str(MAX_NUMERAL + 1)],
+                 ["--big-n", "99999999999999999999", "bound", "--n", "1"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_arity_flag_controls_n():
@@ -120,6 +133,22 @@ def test_console_entry_subprocess():
         [sys.executable, "-m", "piord.cli", "cmp", "0", "K"],
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "<"
+
+
+def test_text_commands_import_no_dataclasses_inspect_or_json():
+    # measured against the bare interpreter, whose site start-up is not ours
+    code = ("import io, sys; before = set(sys.modules); import piord.cli; "
+            "piord.cli.main(['cmp', '0', '1'], io.StringIO()); "
+            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == "[]"
+    proc = _fresh_cli(["--format", "json-lines", "cmp", "0", "1"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"kind": "cmp", "left": "0",
+                                       "right": "1", "result": "<"}
 
 
 def _fresh_cli(argv):

@@ -1,10 +1,14 @@
 """The single memo mechanism: what clear_caches() empties and keeps."""
 
+import io
+
+from piord.cli import main
 from piord.order import _MEMOS, clear_caches
 from piord.oracle import (
     check_order_axioms, check_structural_props, enumerate_corpus,
 )
 from piord.syntax import parse_ord
+from piord.validate import check_ot
 
 
 def _reports(corpus):
@@ -29,3 +33,14 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
     assert enumerate_corpus(p4, 7) == corpus
     assert _reports(corpus) == cold == warm
 
+
+def test_cli_calls_share_validation_entries():
+    # each call builds its own SystemParams(4); equal params key one entry
+    argv = ["check", "psi(K; [0,1]; 1)"]
+    clear_caches()
+    main(argv, io.StringIO())
+    first = check_ot.cache_info()
+    main(argv, io.StringIO())
+    second = check_ot.cache_info()
+    assert second.currsize == first.currsize > 0
+    assert second.hits == first.hits + 1

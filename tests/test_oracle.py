@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import pathlib
 import types
@@ -210,7 +209,7 @@ def test_unsorted_corpus_is_caught():
     corpus = enumerate_corpus(P4, 6)
     terms = list(corpus.terms)
     terms[10], terms[20] = terms[20], terms[10]
-    swapped = dataclasses.replace(corpus, terms=tuple(terms))
+    swapped = corpus._replace(terms=tuple(terms))
     tri, _ = check_order_axioms(swapped, triple_sample=0)
     assert tri.name == "trichotomy+antisymmetry"
     assert tri.checked == len(terms) * (len(terms) - 1) // 2

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from piord.errors import NotMahloTerm, ValidationError
@@ -140,7 +138,7 @@ def test_validation_is_cached_and_deterministic():
 
 def test_report_holds_one_verdict():
     rep = ValidationReport("Psi9")
-    assert [f.name for f in dataclasses.fields(rep)] == ["rule", "failure"]
+    assert rep._fields == ("rule", "failure")
     assert rep.ok and rep.first_failure() is None
     bad = ValidationReport("Psi10", ("0 < b <= a", "b=2 a=1"))
     assert not bad.ok and bad.first_failure() == "0 < b <= a: b=2 a=1"
