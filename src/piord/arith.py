@@ -5,12 +5,14 @@ Every constructor returns a validated term or raises; these are the only
 construction paths the library surface exposes.
 """
 
-from .errors import ArgsNotBelowK, OutOfRange, ValidationError
+from .errors import ArgsNotBelowK, LimitExceeded, OutOfRange, ValidationError
 from .params import SystemParams
+# mk_sum is not called here (sums are built by from_parts), but the
+# benchmark's layer map, perfbench/layers.json, names piord.arith.mk_sum.
 from .terms import (
-    BIG_K, E_ZERO, ONE, ZERO,
-    Psi, Sum, Veblen, ZeroT,
-    is_strongly_critical, m_at, m_profile, mk_eord, mk_omega_exp,
+    BIG_K, ONE, ZERO,
+    Psi, Veblen,
+    from_parts, is_strongly_critical, m_at, m_profile, mk_eord, mk_omega_exp,
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
 )
 from .order import GT, LT, PSI10, PSI11, cmp_ord
@@ -24,23 +26,9 @@ __all__ = [
 ]
 
 
-def _parts(t):
-    if isinstance(t, ZeroT):
-        return ()
-    return t.parts if isinstance(t, Sum) else (t,)
-
-
-def _from_parts(parts):
-    if not parts:
-        return ZERO
-    if len(parts) == 1:
-        return parts[0]
-    return mk_sum(parts)
-
-
 def add(a, b):
     """CNF sum: summands of a strictly below b's head are absorbed."""
-    pa, pb = _parts(a), _parts(b)
+    pa, pb = a.parts, b.parts
     if not pb:
         return a
     if not pa:
@@ -49,13 +37,13 @@ def add(a, b):
     j = len(pa)
     while j > 0 and cmp_ord(pa[j - 1], head) == LT:
         j -= 1
-    return _from_parts(pa[:j] + pb)
+    return from_parts(pa[:j] + pb)
 
 
 def natural_sum(a, b):
     """Commutative sum: merge the two part multisets, largest first."""
     merged = []
-    pa, pb = list(_parts(a)), list(_parts(b))
+    pa, pb = a.parts, b.parts
     i = j = 0
     while i < len(pa) and j < len(pb):
         if cmp_ord(pa[i], pb[j]) == LT:
@@ -66,7 +54,7 @@ def natural_sum(a, b):
             i += 1
     merged.extend(pa[i:])
     merged.extend(pb[j:])
-    return _from_parts(tuple(merged))
+    return from_parts(tuple(merged))
 
 
 def succ(a):
@@ -77,9 +65,7 @@ def from_int(k):
     """The canonical finite ordinal: k summands phi(0,0)."""
     if k < 0:
         raise ValueError("finite ordinals are non-negative")
-    if k == 0:
-        return ZERO
-    return _from_parts((ONE,) * k)
+    return from_parts((ONE,) * k)
 
 
 def omega_exp(b):
@@ -154,7 +140,7 @@ def psi_step(pi, b, a, params):
     k = j - 1
     entry = exp_add(m_at(pi, k), from_pairs(((m_at(pi, j), b),)))
     nu = tuple(m_at(pi, i) for i in range(2, k)) + (entry,)
-    nu += (E_ZERO,) * (params.n - 2 - len(nu))
+    nu += zero_vec(params.n)[len(nu):]
     return psi(pi, nu, a, params)
 
 
@@ -167,6 +153,11 @@ def psi_sd(pi, nu, a, params):
 # Towers and the bound pipeline
 # ---------------------------------------------------------------------------
 
+# The stage-n bound term nests n omega-powers, each built and validated in
+# turn, so n is bounded before the first level is built.
+MAX_STAGE = 1000
+
+
 def omega_tower(a, n):
     """n-fold omega-power of a."""
     for _ in range(n):
@@ -176,7 +167,9 @@ def omega_tower(a, n):
 
 def theorem_bound(n, params=None):
     """The stage-n bound term: the first-Omega collapse of the n-fold
-    omega tower over the successor of the top term."""
+    omega tower over the successor of the top term, for 0 <= n <= MAX_STAGE."""
+    if not 0 <= n <= MAX_STAGE:
+        raise LimitExceeded("stage must lie in 0..%d, got %d" % (MAX_STAGE, n))
     params = params or SystemParams()
     omega1 = omega_idx(ONE)
     return psi0(omega1, omega_tower(add(BIG_K, ONE), n), params)

@@ -191,6 +191,12 @@ def _build_parser():
                    default="text", help="output format")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def count(text):
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
+        return n
+
     def command(name, run, summary, *operands):
         c = sub.add_parser(name, help=summary)
         c.set_defaults(run=run)
@@ -205,19 +211,19 @@ def _build_parser():
     command("sd", _sd, "derivation search for a coefficient vector", "seq")
 
     c = command("enumerate", _enumerate, "census of small validated terms")
-    c.add_argument("--size-cap", type=int, default=None)
+    c.add_argument("--size-cap", type=count, default=None)
     c.add_argument("--below", default=None, metavar="TERM")
     c.add_argument("--out", default=None, metavar="FILE")
 
     c = command("props", _props, "run the oracle suites")
-    c.add_argument("--size-cap", type=int, default=None)
-    c.add_argument("--triples", type=int, default=20_000)
+    c.add_argument("--size-cap", type=count, default=None)
+    c.add_argument("--triples", type=count, default=20_000)
     c.add_argument("--seed", type=int, default=0)
 
     c = command("descend", _descend, "seeded descending-chain probe", "term")
-    c.add_argument("--steps", type=int, default=1000)
+    c.add_argument("--steps", type=count, default=1000)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--size-cap", type=int, default=None)
+    c.add_argument("--size-cap", type=count, default=None)
 
     c = command("bound", _bound, "proof-theoretic bound term")
     c.add_argument("--n", type=int, required=True)

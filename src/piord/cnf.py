@@ -4,16 +4,15 @@ Covers head/tail data, parts and iterated tail parts, the sequence orders,
 step-downs, the sp-relations, the head-exponent lexicographic order,
 towers, and irreducibility of coefficient vectors.
 
-Every exponent is handled through its list of (exponent, coefficient)
-pairs with strictly decreasing exponents; a plain ordinal term is the
-degenerate single pair with exponent zero.
+Every exponent is handled through its ``pairs``, the (exponent,
+coefficient) pairs with strictly decreasing exponents; a plain ordinal
+term is the degenerate single pair with exponent zero.
 """
 
 from .errors import CapExceeded, NoWitness, UndefinedOnZero
 from .terms import (
-    E_ZERO, ONE,
-    EOrd, EZeroT, LamSum,
-    mk_eord, mk_lamsum, strip_zeros,
+    E_ZERO, ONE, LamSum,
+    is_zero_vec, mk_eord, mk_lamsum, strip_zeros,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord
 
@@ -36,15 +35,11 @@ TOWER_CAP = 64
 
 def pairs(x):
     """The (exponent, coefficient) pairs of x, head first; () for zero."""
-    if isinstance(x, EZeroT):
-        return ()
-    if isinstance(x, EOrd):
-        return ((E_ZERO, x.a),)
     return x.pairs
 
 
 def from_pairs(ps):
-    """Rebuild an exponent from CNF pairs."""
+    """The exponent with the given CNF pairs; inverse of ``x.pairs``."""
     if not ps:
         return E_ZERO
     if len(ps) == 1 and ps[0][0] is E_ZERO:
@@ -71,27 +66,27 @@ def is_strict_exp(x):
 
 def he(x):
     """Head exponent; 0 for plain ordinal terms (including 1)."""
-    if isinstance(x, EZeroT):
+    if x is E_ZERO:
         raise UndefinedOnZero("head exponent of 0")
-    return pairs(x)[0][0]
+    return x.pairs[0][0]
 
 
 def te(x):
     """Tail exponent; 0 for plain ordinal terms (including 1)."""
-    if isinstance(x, EZeroT):
+    if x is E_ZERO:
         raise UndefinedOnZero("tail exponent of 0")
-    return pairs(x)[-1][0]
+    return x.pairs[-1][0]
 
 
 def tl(x):
-    if isinstance(x, EZeroT):
+    if x is E_ZERO:
         raise UndefinedOnZero("tail of 0")
-    return from_pairs(pairs(x)[-1:])
+    return from_pairs(x.pairs[-1:])
 
 
 def head_tail(x):
     """(he, te, Hd, Tl) of a non-zero exponent."""
-    ps = pairs(x)
+    ps = x.pairs
     if not ps:
         raise UndefinedOnZero("head/tail data of 0")
     return ps[0][0], ps[-1][0], from_pairs(ps[:1]), from_pairs(ps[-1:])
@@ -100,7 +95,7 @@ def head_tail(x):
 def _iter_exp(x, i, pick):
     cur = x
     for _ in range(i):
-        if cur is None or isinstance(cur, EZeroT):
+        if cur is None or cur is E_ZERO:
             return None
         cur = pick(cur)
     return cur
@@ -122,13 +117,13 @@ def te_iter(x, i):
 
 def is_part(z, x):
     """z is an upper segment of x's CNF (0 and x itself included)."""
-    pz = pairs(z)
-    return pairs(x)[:len(pz)] == pz
+    pz = z.pairs
+    return x.pairs[:len(pz)] == pz
 
 
 def all_parts(x):
     """All parts of x, longest first (x itself down to 0)."""
-    ps = pairs(x)
+    ps = x.pairs
     return [from_pairs(ps[:j]) for j in range(len(ps), -1, -1)]
 
 
@@ -140,7 +135,7 @@ def iterated_tail_parts(mu_vec, x):
         if cur is None or not is_part(mu, cur):
             return False
         # te is undefined on 0, so a zero link admits no further entries
-        cur = None if isinstance(mu, EZeroT) else te(mu)
+        cur = None if mu is E_ZERO else te(mu)
     return True
 
 
@@ -156,13 +151,13 @@ def seq_lt(nu_vec, x):
     """
     vec = strip_zeros(nu_vec)
     if not vec:
-        return not isinstance(x, EZeroT)
+        return x is not E_ZERO
     return _seq_lt(vec, x)
 
 
 def _seq_lt(vec, x):
     nu0 = vec[0]
-    ps = pairs(x)
+    ps = x.pairs
     for j in range(len(ps), 0, -1):
         mu = from_pairs(ps[:j])
         if cmp_exp(nu0, mu) == LT:
@@ -194,12 +189,12 @@ def seq_lt_k(nu_vec, xi_vec, k):
 def step_down(z, x):
     """z keeps all of x's CNF but the tail, decrements the tail coefficient
     (possibly to zero) and appends anything below the tail base-power."""
-    px = pairs(x)
+    px = x.pairs
     if not px:
         return False
     e0, a0 = px[-1]
     m = len(px) - 1
-    pz = pairs(z)
+    pz = z.pairs
     if pz[:m] != px[:m]:
         return False
     rest = pz[m:]
@@ -220,7 +215,7 @@ def vec_step_down(nu_vec, x):
     cur = x
     for i, nu in enumerate(vec):
         if i > 0:
-            if isinstance(cur, EZeroT):
+            if cur is E_ZERO:
                 return False
             cur = te(cur)
         if not step_down(nu, cur):
@@ -244,7 +239,7 @@ def vec_sp(nu_vec, x):
 
 def sp_position(nu_vec, x):
     """Number of tail summands of x outside the longest witnessing part."""
-    ps = pairs(x)
+    ps = x.pairs
     for j in range(len(ps), -1, -1):
         if vec_step_down(nu_vec, from_pairs(ps[:j])):
             return len(ps) - j
@@ -271,9 +266,9 @@ def lx_lt(nu_vec, xi_vec):
             break
     if i is None:
         return False
-    if all(e is E_ZERO for e in nu_vec[i:]):
+    if is_zero_vec(nu_vec[i:]):
         return True
-    if all(e is E_ZERO for e in xi_vec[i:]):
+    if is_zero_vec(xi_vec[i:]):
         return False
     k0 = next(j for j in range(i, len(nu_vec)) if nu_vec[j] is not E_ZERO)
     k1 = next(j for j in range(i, len(xi_vec)) if xi_vec[j] is not E_ZERO)
@@ -301,7 +296,7 @@ def lam_tower(x, i):
 
 def exp_succ(x):
     """x + 1 in the exponent algebra (may leave the strict grammar)."""
-    ps = pairs(x)
+    ps = x.pairs
     if ps and ps[-1][0] is E_ZERO:
         from .arith import add  # absorbing sum on the ordinal coefficient
         return from_pairs(ps[:-1] + ((E_ZERO, add(ps[-1][1], ONE)),))
@@ -310,11 +305,11 @@ def exp_succ(x):
 
 def exp_add(x, y):
     """CNF sum of exponents: summands of x below y's head are absorbed."""
-    if isinstance(y, EZeroT):
+    if y is E_ZERO:
         return x
-    if isinstance(x, EZeroT):
+    if x is E_ZERO:
         return y
-    px, py = pairs(x), pairs(y)
+    px, py = x.pairs, y.pairs
     h = py[0][0]
     j = len(px)
     while j > 0 and cmp_exp(px[j - 1][0], h) == LT:
@@ -328,7 +323,7 @@ def exp_add(x, y):
 
 def drop_tail(x):
     """x minus its tail summand; 0 stays 0."""
-    ps = pairs(x)
+    ps = x.pairs
     return from_pairs(ps[:-1]) if ps else x
 
 

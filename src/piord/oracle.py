@@ -18,9 +18,9 @@ from collections import namedtuple
 from .terms import (
     BIG_K, E_ZERO, E_ONE, ONE, ZERO,
     LamSum, OmegaIdx, Psi, Sum,
-    is_principal, is_successor_term, is_zero_vec, m_at,
+    from_parts, is_principal, is_successor_term, is_zero_vec, m_at,
     m_profile, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi,
-    mk_sum, mk_veblen, strip_zeros,
+    mk_sum, mk_veblen, strip_zeros, zero_vec,
 )
 from .order import (
     EQ, GT, LT, cmp_exp, cmp_ord, k_delta, k_delta_set, kset_below,
@@ -173,7 +173,7 @@ def _sd_vector_pool(e_by_size, n, budget):
 
 def _gen_psi(s, ot_by_size, e_by_size, params, keep):
     n = params.n
-    zeros = (E_ZERO,) * (n - 2)
+    zeros = zero_vec(n)
     sd_pool = None
     for pi in _psi_bases(ot_by_size, s - 2):
         rest = s - 1 - pi.size  # symbols left for the vector and the stage
@@ -220,7 +220,7 @@ def _gen_psi_step(s, pi, j, rest, ot_by_size, params, keep):
                 continue
             entry = mk_lamsum(ps_m + ((mj, b),))
             nu = prefix + (entry,)
-            nu += (E_ZERO,) * (params.n - 2 - len(nu))
+            nu += zero_vec(params.n)[len(nu):]
             vcost = sum(e.size for e in nu if e is not E_ZERO)
             for a in ot_by_size.get(rest - vcost, ()):
                 keep(mk_psi(pi, nu, a), s)
@@ -279,7 +279,7 @@ def witness_terms(params):
         return out
     p2 = psi_step(p1, BIG_K, K2, params)                 # L = 2
     a3 = omega_exp(K2)
-    zeros = (E_ZERO,) * (n - 2)
+    zeros = zero_vec(n)
     nu3 = zeros[:-1] + (E_ONE,)
     p3 = psi_sd(p2, nu3, a3, params)                     # L = 3
     a4 = omega_exp(a3)
@@ -487,7 +487,7 @@ def check_structural_props(corpus):
         if cmp_ord(t, pi) != LT:
             return "%s not below %s" % (print_ord(t), print_ord(pi))
         if is_successor_term(pi.b):
-            pred = _pred_index(pi.b)
+            pred = from_parts(pi.b.parts[:-1])      # the index minus 1
             lower = ZERO if pred is ZERO else mk_omega_idx(pred) \
                 if not isinstance(pred, Psi) else pred
             if lower is not ZERO and cmp_ord(lower, t) != LT:
@@ -517,14 +517,6 @@ def check_structural_props(corpus):
          ((s, t) for s in sample for t in sample if s is not t),
          six_cases_agree),
     )]
-
-
-def _pred_index(b):
-    """b - 1 for a successor term b."""
-    if b is ONE:
-        return ZERO
-    parts = b.parts[:-1]
-    return parts[0] if len(parts) == 1 else mk_sum(parts)
 
 
 def _six_cases_lt(s, t):

@@ -10,9 +10,9 @@ import functools
 
 from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
-    BIG_K, E_ZERO, ZERO,
-    BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    is_successor_term, k_components, m_profile,
+    BIG_K, ZERO,
+    BigKT, EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
+    is_successor_term, is_zero_vec, k_components, m_profile,
 )
 
 __all__ = [
@@ -57,9 +57,8 @@ def rule_tag(t):
     if t.nu_zero:
         return PSI9
     if t.pi is BIG_K:
-        last = t.nu[-1]
-        body_zero = all(e is E_ZERO for e in t.nu[:-1])
-        return PSI10 if body_zero and isinstance(last, EOrd) else None
+        body, last = t.nu[:-1], t.nu[-1]
+        return PSI10 if is_zero_vec(body) and isinstance(last, EOrd) else None
     prof = m_profile(t.pi)
     if not prof:
         return None
@@ -79,15 +78,10 @@ def _cmp_ord(s, t):
     """Trichotomous comparison; EQ exactly on identical (interned) terms."""
     if s is t:
         return EQ
-    if isinstance(s, ZeroT):
-        return LT
-    if isinstance(t, ZeroT):
-        return GT
-    sp = s.parts if isinstance(s, Sum) else (s,)
-    tp = t.parts if isinstance(t, Sum) else (t,)
-    if len(sp) > 1 or len(tp) > 1:
-        return _cmp_lex(sp, tp)
-    return _cmp_principal(s, t)
+    sp, tp = s.parts, t.parts
+    if len(sp) == 1 == len(tp):
+        return _cmp_principal(s, t)
+    return _cmp_lex(sp, tp)
 
 
 cmp_ord = memo(_cmp_ord)
@@ -102,6 +96,7 @@ def le(s, t):
 
 
 def _cmp_lex(sp, tp):
+    """Lexicographic comparison of CNF parts; a proper prefix is smaller."""
     for a, b in zip(sp, tp):
         c = cmp_ord(a, b)
         if c != EQ:
@@ -207,31 +202,21 @@ def _psi_lt(s, t):
 # ---------------------------------------------------------------------------
 
 def cmp_exp(x, y):
-    """Comparison under the base-CNF reading; every base-power sum exceeds
-    every plain ordinal term."""
+    """Comparison under the base-CNF reading: pair-lexicographic, so a
+    plain ordinal term (head exponent 0) lies below every base-power sum."""
     if x is y:
         return EQ
-    if isinstance(x, EZeroT):
-        return LT
-    if isinstance(y, EZeroT):
-        return GT
-    xl, yl = isinstance(x, LamSum), isinstance(y, LamSum)
-    if not xl and not yl:
-        return cmp_ord(x.a, y.a)
-    if not xl:
-        return LT
-    if not yl:
-        return GT
-    for (e1, c1), (e2, c2) in zip(x.pairs, y.pairs):
+    xp, yp = x.pairs, y.pairs
+    for (e1, c1), (e2, c2) in zip(xp, yp):
         c = cmp_exp(e1, e2)
         if c != EQ:
             return c
         c = cmp_ord(c1, c2)
         if c != EQ:
             return c
-    if len(x.pairs) == len(y.pairs):
+    if len(xp) == len(yp):
         return EQ
-    return GT if len(x.pairs) > len(y.pairs) else LT
+    return GT if len(xp) > len(yp) else LT
 
 
 def max_term(items):

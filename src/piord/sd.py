@@ -41,7 +41,7 @@ def in_sd(seq):
 
 def _base_of(seq):
     """Base-rule reading of the vector, if it has that shape."""
-    if not all(e is E_ZERO for e in seq[:-1]):
+    if not is_zero_vec(seq[:-1]):
         return None
     last = seq[-1]
     if last is E_ZERO:

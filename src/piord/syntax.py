@@ -14,9 +14,9 @@ they are every node's ``repr``, and exported from here as well.
 
 from .errors import ArityError, OrdSyntaxError
 from .terms import (
-    BIG_K, E_ZERO, ONE, ZERO, EZeroT, Sum, ZeroT,
-    mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
-    print_exp, print_ord, print_seq,
+    BIG_K, E_ZERO, ONE, ZERO,
+    from_parts, is_zero_vec, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx,
+    mk_psi, mk_sum, mk_veblen, print_exp, print_ord, print_seq, zero_vec,
 )
 
 __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
@@ -72,15 +72,9 @@ class _Parser:
             parts.append(self.ord_chunk())
         if len(parts) == 1:
             return parts[0]
-        flat = []
-        for p in parts:
-            if isinstance(p, Sum):
-                flat.extend(p.parts)
-            elif isinstance(p, ZeroT):
-                self.error("zero cannot appear inside a sum")
-            else:
-                flat.append(p)
-        return mk_sum(flat)
+        if ZERO in parts:
+            self.error("zero cannot appear inside a sum")
+        return mk_sum([q for p in parts for q in p.parts])
 
     def ord_chunk(self):
         c = self.peek()
@@ -100,12 +94,7 @@ class _Parser:
         # the length test comes first, so a long digit run is never converted
         if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
             self.error("numeral above %d" % MAX_NUMERAL, start)
-        k = int(digits)
-        if k == 0:
-            return ZERO
-        if k == 1:
-            return ONE
-        return mk_sum((ONE,) * k)
+        return from_parts((ONE,) * int(digits))
 
     def principal(self):
         if self.looking_at("phi("):
@@ -139,12 +128,12 @@ class _Parser:
             a = self.ord()
             self.expect(")")
             t = mk_psi(pi, nu, a)
-            if all(e is E_ZERO for e in nu):
+            if is_zero_vec(nu):
                 self.zero_claims.append(t)
             return t
         a = self.ord()
         self.expect(")")
-        return mk_psi(pi, (E_ZERO,) * (self.n - 2), a)
+        return mk_psi(pi, zero_vec(self.n), a)
 
     # -- exponents ------------------------------------------------------------
 
@@ -170,7 +159,7 @@ class _Parser:
                 ps.append(self.lam())
             return mk_lamsum(tuple(ps))
         a = self.ord()
-        return E_ZERO if isinstance(a, ZeroT) else mk_eord(a)
+        return E_ZERO if a is ZERO else mk_eord(a)
 
     def looking_at_lam_after_plus(self):
         save = self.pos
@@ -183,11 +172,11 @@ class _Parser:
         start = self.pos
         self.expect("L^(")
         e = self.exp()
-        if isinstance(e, EZeroT):
+        if e is E_ZERO:
             self.error("zero base-power exponent is not a term", start)
         self.expect(")*(")
         c = self.ord()
-        if isinstance(c, ZeroT):
+        if c is ZERO:
             self.error("zero base-power coefficient is not a term", start)
         self.expect(")")
         return (e, c)

@@ -21,7 +21,7 @@ __all__ = [
     "Exp", "EZeroT", "EOrd", "LamSum",
     "ZERO", "BIG_K", "ONE", "E_ZERO", "E_ONE",
     "mk_sum", "mk_veblen", "mk_omega_exp", "mk_omega_idx", "mk_psi",
-    "mk_eord", "mk_lamsum",
+    "mk_eord", "mk_lamsum", "from_parts",
     "is_principal", "is_strongly_critical", "is_successor_term",
     "zero_vec", "is_zero_vec", "strip_zeros",
     "k_components", "k_components_vec",
@@ -37,8 +37,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Ord:
-    """Base class of ordinal term nodes; repr is the grammar spelling."""
-    __slots__ = ("size",)
+    """Base class of ordinal term nodes; repr is the grammar spelling.
+
+    ``parts`` is the Cantor normal form: the weakly decreasing principal
+    summands, () for zero and (t,) for a principal t."""
+    __slots__ = ("size", "parts")
 
     def __repr__(self):
         return print_ord(self)
@@ -54,7 +57,7 @@ class BigKT(Ord):
 
 class Sum(Ord):
     """Non-empty sum of at least two principal terms, weakly decreasing."""
-    __slots__ = ("parts",)
+    __slots__ = ()
 
 
 class Veblen(Ord):
@@ -77,8 +80,11 @@ class Psi(Ord):
 
 
 class Exp:
-    """Base class of exponent term nodes; repr is the grammar spelling."""
-    __slots__ = ("size", "comps")
+    """Base class of exponent term nodes; repr is the grammar spelling.
+
+    ``pairs`` is the base-CNF: the (exponent, coefficient) pairs head
+    first, () for zero and ((0, a),) for a plain ordinal term a."""
+    __slots__ = ("size", "comps", "pairs")
 
     def __repr__(self):
         return print_exp(self)
@@ -98,7 +104,7 @@ class LamSum(Exp):
     decreasing.  The strict grammar requires all exponents non-zero; a
     trailing zero-exponent pair is tolerated internally for CNF arithmetic
     (such values never validate as coefficient entries)."""
-    __slots__ = ("pairs",)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +119,21 @@ def _new(cls):
     return object.__new__(cls)
 
 
-def _mk_atom(cls):
+def _principal(cls, size):
     t = _new(cls)
-    t.size = 1
+    t.size = size
+    t.parts = (t,)
     return t
 
 
-ZERO = _mk_atom(ZeroT)
-BIG_K = _mk_atom(BigKT)
+ZERO = _new(ZeroT)
+ZERO.size = 1
+ZERO.parts = ()
+BIG_K = _principal(BigKT, 1)
 E_ZERO = _new(EZeroT)
 E_ZERO.size = 1
 E_ZERO.comps = frozenset()
+E_ZERO.pairs = ()
 
 
 def mk_sum(parts):
@@ -134,8 +144,7 @@ def mk_sum(parts):
 def _mk_sum(parts, /):
     assert len(parts) >= 2, "a sum needs at least two parts"
     for p in parts:
-        assert isinstance(p, Ord) and not isinstance(p, (ZeroT, Sum)), \
-            "sum parts must be principal terms"
+        assert is_principal(p), "sum parts must be principal terms"
     t = _new(Sum)
     t.parts = parts
     t.size = sum(p.size for p in parts) + len(parts) - 1
@@ -144,25 +153,22 @@ def _mk_sum(parts, /):
 
 @functools.cache
 def mk_veblen(b, g, /):
-    t = _new(Veblen)
+    t = _principal(Veblen, 1 + b.size + g.size)
     t.b, t.g = b, g
-    t.size = 1 + b.size + g.size
     return t
 
 
 @functools.cache
 def mk_omega_exp(b, /):
-    t = _new(OmegaExp)
+    t = _principal(OmegaExp, 1 + b.size)
     t.b = b
-    t.size = 1 + b.size
     return t
 
 
 @functools.cache
 def mk_omega_idx(b, /):
-    t = _new(OmegaIdx)
+    t = _principal(OmegaIdx, 1 + b.size)
     t.b = b
-    t.size = 1 + b.size
     return t
 
 
@@ -173,12 +179,11 @@ def mk_psi(pi, nu, a):
 @functools.cache
 def _mk_psi(pi, nu, a, /):
     assert all(isinstance(e, Exp) for e in nu)
-    t = _new(Psi)
-    t.pi, t.nu, t.a = pi, nu, a
     # zero coefficient entries are notation padding and cost no symbols
-    t.size = 1 + pi.size + a.size + sum(
-        e.size for e in nu if e is not E_ZERO)
-    t.nu_zero = all(e is E_ZERO for e in nu)
+    t = _principal(Psi, 1 + pi.size + a.size + sum(
+        e.size for e in nu if e is not E_ZERO))
+    t.pi, t.nu, t.a = pi, nu, a
+    t.nu_zero = is_zero_vec(nu)
     t.nu_comps = k_components_vec(nu)
     return t
 
@@ -190,6 +195,7 @@ def mk_eord(a, /):
     t.a = a
     t.size = a.size
     t.comps = frozenset((a,))
+    t.pairs = ((E_ZERO, a),)
     return t
 
 
@@ -213,6 +219,15 @@ def _mk_lamsum(pairs, /):
     return t
 
 
+def from_parts(parts):
+    """The ordinal term with the given CNF parts; inverse of ``t.parts``."""
+    # straight to the cached body, one frame below mk_sum, so a numeral at
+    # the bottom of a deep term does not lower the depth limit
+    if len(parts) > 1:
+        return _mk_sum(tuple(parts))
+    return parts[0] if parts else ZERO
+
+
 ONE = mk_veblen(ZERO, ZERO)          # the canonical 1 = phi(0,0)
 E_ONE = mk_eord(ONE)
 
@@ -222,7 +237,7 @@ E_ONE = mk_eord(ONE)
 # ---------------------------------------------------------------------------
 
 def is_principal(t):
-    return isinstance(t, Ord) and not isinstance(t, (ZeroT, Sum))
+    return isinstance(t, Ord) and len(t.parts) == 1
 
 
 def is_strongly_critical(t):
@@ -232,9 +247,7 @@ def is_strongly_critical(t):
 
 def is_successor_term(t):
     """True when t names a successor ordinal: its CNF tail is 1."""
-    if t is ONE:
-        return True
-    return isinstance(t, Sum) and t.parts[-1] is ONE
+    return t.parts[-1:] == (ONE,)
 
 
 def zero_vec(n):
@@ -391,11 +404,9 @@ def all_subterms(t):
 # ---------------------------------------------------------------------------
 
 def print_ord(t):
-    if isinstance(t, ZeroT):
+    parts = t.parts
+    if not parts:
         return "0"
-    if isinstance(t, BigKT):
-        return "K"
-    parts = t.parts if isinstance(t, Sum) else (t,)
     # coalesce the maximal run of trailing ones into a decimal literal
     k = len(parts)
     while k > 0 and parts[k - 1] is ONE:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from piord.cli import main
+from piord.arith import MAX_STAGE
 from piord.syntax import MAX_NUMERAL
 
 
@@ -67,6 +68,25 @@ def test_numbers_past_their_limit_are_usage_errors():
         assert code == 2 and out == "", argv
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_bound_stage_outside_its_range_is_a_usage_error():
+    for n in (-3, MAX_STAGE + 1, 99999999999999999999):
+        code, out, err = run(["bound", "--n", str(n)])
+        assert code == 2 and out == "", n
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_negative_counts_are_usage_errors():
+    for argv in (["props", "--size-cap", "6", "--triples", "-1"],
+                 ["descend", "1", "--steps", "-5", "--size-cap", "5"],
+                 ["enumerate", "--size-cap", "-1"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        assert [x for x in err.splitlines() if "error:" in x] == [
+            err.splitlines()[-1]], err
+        assert "must be at least 0" in err, err
 
 
 def test_arity_flag_controls_n():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from piord.errors import BadDelta, InvalidTerm
 from piord.params import SystemParams
 from piord.terms import (
-    BIG_K, E_ONE, E_ZERO, ONE, ZERO, Psi, mk_eord, mk_psi,
+    BIG_K, E_ONE, E_ZERO, ONE, ZERO, EOrd, LamSum, Psi, mk_eord, mk_psi,
 )
 from piord.order import (
     EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta, le, lt,
@@ -12,6 +12,7 @@ from piord.order import (
 from piord.arith import (
     add, from_int, omega_exp, omega_idx, psi0, psiK, theorem_bound, veblen,
 )
+from piord.oracle import _exp_pool, witness_terms
 from piord.syntax import parse_ord
 
 P3 = SystemParams(3)
@@ -87,6 +88,26 @@ def test_cmp_exp_order():
     assert cmp_exp(ek, lam1) == LT              # base-powers above ordinals
     assert cmp_exp(mk_lamsum(((mk_eord(from_int(2)), ONE),)), lam1) == GT
     assert cmp_exp(mk_lamsum(((e1, from_int(5)), (E_ZERO, ONE))), lam1) == GT
+
+
+def test_cmp_exp_against_a_class_reference(corpus3, corpus4):
+    # the pair-lexicographic order must agree with the reading by node
+    # class: 0 first, then plain ordinal terms by cmp_ord, then the sums
+    for corpus in (corpus3, corpus4):
+        pool = list(_exp_pool(corpus))
+        pool += [e for w in witness_terms(corpus.params) for e in w.nu]
+        pool = list(dict.fromkeys(pool))
+        for x in pool:
+            for y in pool:
+                c = cmp_exp(x, y)
+                assert (c == EQ) == (x is y), (x, y)
+                assert cmp_exp(y, x) == -c, (x, y)
+                if x is E_ZERO and y is not E_ZERO:
+                    assert c == LT, y
+                if isinstance(x, EOrd) and isinstance(y, LamSum):
+                    assert c == LT, (x, y)
+                if isinstance(x, EOrd) and isinstance(y, EOrd):
+                    assert c == cmp_ord(x.a, y.a), (x, y)
 
 
 def test_k_delta_examples():

@@ -3,13 +3,15 @@ import pytest
 from piord.errors import MalformedChain
 from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO,
-    collapsing_series, is_successor_term, k_components, m_at, m_profile,
+    collapsing_series, from_parts, is_principal, is_successor_term,
+    k_components, m_at, m_profile,
     mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_idx,
     pd, pd_iter, prec, prec_eq, strip_zeros,
 )
 from piord.params import SystemParams
 from piord.arith import add, from_int, psiK, psi_step, psi0
-from piord.oracle import enumerate_corpus
+from piord.cnf import from_pairs
+from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, print_exp, print_ord
 
 P3 = SystemParams(3)
@@ -42,6 +44,19 @@ def test_repr_is_the_grammar_printer():
     # a printed failure detail can be pasted back into the parser
     t = parse_ord("psi(K; [0,1]; 2)", P4)
     assert parse_ord(repr(t), P4) is t
+
+
+def test_cnf_views_round_trip():
+    assert ZERO.parts == () and E_ZERO.pairs == ()
+    for params in (P3, P4):
+        terms = enumerate_corpus(params, 7).terms
+        terms += tuple(witness_terms(params))
+        assert len(terms) > 50
+        for t in terms:
+            assert from_parts(t.parts) is t, t
+            assert (len(t.parts) == 1) == is_principal(t), t
+            for x in getattr(t, "nu", ()):
+                assert from_pairs(x.pairs) is x, x
 
 
 def test_term_size_atoms():
