@@ -12,7 +12,7 @@ from .params import SystemParams
 from .terms import (
     BIG_K, ONE, ZERO,
     Psi, Veblen,
-    from_parts, is_strongly_critical, m_at, m_profile, mk_eord, mk_omega_exp,
+    from_parts, is_strongly_critical, mk_eord, mk_omega_exp,
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
 )
 from .order import GT, LT, PSI10, PSI11, cmp_ord
@@ -131,15 +131,12 @@ def psiK(b, a, params):
 def psi_step(pi, b, a, params):
     """One reflection-degree step below pi: append a base-power with
     exponent m_{k+1}(pi) and coefficient b at the last active position."""
-    prof = m_profile(pi) if pi is not BIG_K else ()
-    if not prof or prof[-1] < 3:
+    if len(pi.m) < 2:
         raise ValidationError(ValidationReport(PSI11, (
             "base coefficients",
             "base %r has no coefficient above position 2" % (pi,))))
-    j = prof[-1]
-    k = j - 1
-    entry = exp_add(m_at(pi, k), from_pairs(((m_at(pi, j), b),)))
-    nu = tuple(m_at(pi, i) for i in range(2, k)) + (entry,)
+    entry = exp_add(pi.m[-2], from_pairs(((pi.m[-1], b),)))
+    nu = pi.m[:-2] + (entry,)
     nu += zero_vec(params.n)[len(nu):]
     return psi(pi, nu, a, params)
 

@@ -32,13 +32,11 @@ def main(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout):
             args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         params = SystemParams(args.big_n)
+    except SystemExit:                  # --help has printed its text
+        return 0
     except (ValueError, PiordError) as exc:
         stderr.write("error: %s\n" % (exc,))
         return 2
@@ -181,8 +179,16 @@ def _bound(args, params, emit):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, for main to write as one ``error:`` line,
+    instead of printing the usage line and exiting; subparsers inherit it."""
+
+    def error(self, message):
+        raise PiordError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="piord",
         description="Ordinal notation system for first-order reflection.")
     p.add_argument("--big-n", type=int, default=4, metavar="N",

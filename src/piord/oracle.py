@@ -18,9 +18,9 @@ from collections import namedtuple
 from .terms import (
     BIG_K, E_ZERO, E_ONE, ONE, ZERO,
     LamSum, OmegaIdx, Psi, Sum,
-    from_parts, is_principal, is_successor_term, is_zero_vec, m_at,
-    m_profile, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi,
-    mk_sum, mk_veblen, strip_zeros, zero_vec,
+    from_parts, is_principal, is_regular, is_zero_vec, m_at, mk_eord,
+    mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
+    strip_zeros, zero_vec,
 )
 from .order import (
     EQ, GT, LT, cmp_exp, cmp_ord, k_delta, k_delta_set, kset_below,
@@ -147,8 +147,7 @@ def _gen_omega(s, ot_by_size, keep):
 def _psi_bases(ot_by_size, smax):
     for sp in range(1, smax + 1):
         for t in ot_by_size[sp]:
-            if t is BIG_K or (isinstance(t, (OmegaIdx, Psi))
-                              and m_profile(t)):
+            if is_regular(t):
                 yield t
 
 
@@ -190,10 +189,9 @@ def _gen_psi(s, ot_by_size, e_by_size, params, keep):
                     for a in ot_by_size.get(rest - sb, ()):
                         keep(mk_psi(BIG_K, nu, a), s)
             continue
-        prof = m_profile(pi)
-        if prof and prof[-1] >= 3:
-            _gen_psi_step(s, pi, prof[-1], rest, ot_by_size, params, keep)
-        elif prof:
+        if len(pi.m) >= 2:
+            _gen_psi_step(s, pi, rest, ot_by_size, params, keep)
+        else:
             if sd_pool is None:
                 sd_pool = _sd_vector_pool(e_by_size, n, s - 3)
             m2 = m_at(pi, 2)
@@ -204,13 +202,10 @@ def _gen_psi(s, ot_by_size, e_by_size, params, keep):
                             keep(mk_psi(pi, nu, a), s)
 
 
-def _gen_psi_step(s, pi, j, rest, ot_by_size, params, keep):
+def _gen_psi_step(s, pi, rest, ot_by_size, params, keep):
     """Candidates for the stepping rule: the vector is determined by the
     base and one ordinal coefficient."""
-    k = j - 1
-    prefix = tuple(m_at(pi, i) for i in range(2, k))
-    mk_ = m_at(pi, k)
-    mj = m_at(pi, j)
+    prefix, mk_, mj = pi.m[:-2], pi.m[-2], pi.m[-1]
     ps_m = cnf_pairs(mk_)
     if ps_m and cmp_exp(ps_m[-1][0], mj) != GT:
         return  # absorption: no coefficient can produce the required shape
@@ -403,7 +398,7 @@ def check_structural_props(corpus):
     params = corpus.params
     all_psis = [t for t in corpus.terms + tuple(witness_terms(params))
                 if isinstance(t, Psi)]
-    collapses = [t for t in all_psis if not t.nu_zero]
+    collapses = [t for t in all_psis if t.m]
     exps = _exp_pool(corpus)
     big = [x for x in exps if cmp_exp(x, E_ONE) == GT]
     head = exps[:30] + [x for x in exps if isinstance(x, LamSum)][:25]
@@ -486,7 +481,7 @@ def check_structural_props(corpus):
         pi = t.pi
         if cmp_ord(t, pi) != LT:
             return "%s not below %s" % (print_ord(t), print_ord(pi))
-        if is_successor_term(pi.b):
+        if pi.m:
             pred = from_parts(pi.b.parts[:-1])      # the index minus 1
             lower = ZERO if pred is ZERO else mk_omega_idx(pred) \
                 if not isinstance(pred, Psi) else pred

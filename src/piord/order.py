@@ -12,7 +12,7 @@ from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
     BIG_K, ZERO,
     BigKT, EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    is_successor_term, is_zero_vec, k_components, m_profile,
+    is_zero_vec, k_components,
 )
 
 __all__ = [
@@ -54,15 +54,14 @@ def rule_tag(t):
     """
     if not isinstance(t, Psi):
         return None
-    if t.nu_zero:
+    if not t.m:
         return PSI9
     if t.pi is BIG_K:
         body, last = t.nu[:-1], t.nu[-1]
         return PSI10 if is_zero_vec(body) and isinstance(last, EOrd) else None
-    prof = m_profile(t.pi)
-    if not prof:
+    if not t.pi.m:
         return None
-    return PSI11 if prof[-1] >= 3 else PSI12
+    return PSI11 if len(t.pi.m) >= 2 else PSI12
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def _cmp_psi_omega(p, om):
     """psi term p against Om_alpha; result from p's viewpoint."""
     alpha = om.b
     pi = p.pi
-    if isinstance(pi, OmegaIdx) and is_successor_term(pi.b):
+    if isinstance(pi, OmegaIdx) and pi.m:
         # Om_g < psi_{Om_{g+1}}(a) < Om_{g+1}
         return LT if cmp_ord(pi.b, alpha) <= EQ else GT
     # p names an Omega-fixed point: Om_alpha < p iff alpha < p

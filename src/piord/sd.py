@@ -56,7 +56,6 @@ def _search(seq):
     base = _base_of(seq)
     if base is not None:
         return SdDerivation((base,), seq)
-    n = len(seq) + 2
     # last step must have extended some position k in 2..N-2
     for j in range(len(seq) - 1):
         entry = seq[j]
@@ -69,22 +68,13 @@ def _search(seq):
         mu = from_pairs(ps[:-1])
         tail = seq[j + 1:]
         prem2 = seq[:j] + (mu, zeta) + (E_ZERO,) * (len(seq) - j - 2)
-        if in_sd(prem2) is None:
+        # an all-zero tail steps down below every exponent
+        if in_sd(prem2) is None or not vec_step_down(tail, zeta):
             continue
-        if is_zero_vec(tail):
-            prem1 = seq[:j] + (mu,) + tail
-            d1 = in_sd(prem1)
-            if d1 is not None:
-                step = Extend(j + 2, zeta, coeff, keep_tail=False)
-                return SdDerivation(d1.steps + (step,), seq)
-        else:
-            if not vec_step_down(tail, zeta):
-                continue
-            prem1 = seq[:j] + (mu,) + tail
-            d1 = in_sd(prem1)
-            if d1 is not None:
-                step = Extend(j + 2, zeta, coeff, keep_tail=True)
-                return SdDerivation(d1.steps + (step,), seq)
+        d1 = in_sd(seq[:j] + (mu,) + tail)
+        if d1 is not None:
+            step = Extend(j + 2, zeta, coeff, keep_tail=not is_zero_vec(tail))
+            return SdDerivation(d1.steps + (step,), seq)
     return None
 
 

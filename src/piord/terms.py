@@ -23,9 +23,10 @@ __all__ = [
     "mk_sum", "mk_veblen", "mk_omega_exp", "mk_omega_idx", "mk_psi",
     "mk_eord", "mk_lamsum", "from_parts",
     "is_principal", "is_strongly_critical", "is_successor_term",
+    "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
     "k_components", "k_components_vec",
-    "m_at", "m_profile",
+    "m_at", "m_profile", "m_vec",
     "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
     "all_subterms",
     "print_ord", "print_exp", "print_seq",
@@ -40,8 +41,14 @@ class Ord:
     """Base class of ordinal term nodes; repr is the grammar spelling.
 
     ``parts`` is the Cantor normal form: the weakly decreasing principal
-    summands, () for zero and (t,) for a principal t."""
+    summands, () for zero and (t,) for a principal t.
+
+    ``m`` is the recorded coefficient vector m(t) with its trailing zeros
+    stripped: the vector of a psi term, (1,) for Om of a successor, and ()
+    for every other node.  Only ``OmegaIdx`` and ``Psi`` hold it in a slot;
+    every other class reads this class default."""
     __slots__ = ("size", "parts")
+    m = ()
 
     def __repr__(self):
         return print_ord(self)
@@ -71,12 +78,12 @@ class OmegaExp(Ord):
 
 class OmegaIdx(Ord):
     """Om_b for 0 < b below the top regular term."""
-    __slots__ = ("b",)
+    __slots__ = ("b", "m")
 
 
 class Psi(Ord):
     """Collapsing term psi_pi^nu(a); nu is a tuple of Exp, length N - 2."""
-    __slots__ = ("pi", "nu", "a", "nu_comps", "nu_zero")
+    __slots__ = ("pi", "nu", "a", "nu_comps", "m")
 
 
 class Exp:
@@ -169,6 +176,7 @@ def mk_omega_exp(b, /):
 def mk_omega_idx(b, /):
     t = _principal(OmegaIdx, 1 + b.size)
     t.b = b
+    t.m = (E_ONE,) if is_successor_term(b) else ()
     return t
 
 
@@ -183,7 +191,7 @@ def _mk_psi(pi, nu, a, /):
     t = _principal(Psi, 1 + pi.size + a.size + sum(
         e.size for e in nu if e is not E_ZERO))
     t.pi, t.nu, t.a = pi, nu, a
-    t.nu_zero = is_zero_vec(nu)
+    t.m = strip_zeros(nu)
     t.nu_comps = k_components_vec(nu)
     return t
 
@@ -250,6 +258,12 @@ def is_successor_term(t):
     return t.parts[-1:] == (ONE,)
 
 
+def is_regular(t):
+    """True when terms may be collapsed below t: the top term, or a term
+    recording a non-zero coefficient."""
+    return t is BIG_K or bool(t.m)
+
+
 def zero_vec(n):
     """The all-zero coefficient vector for parameter N = n."""
     return (E_ZERO,) * (n - 2)
@@ -289,34 +303,21 @@ def m_at(t, i):
     Undefined for the top regular term (callers special-case it).
     """
     assert t is not BIG_K, "m-vector of the top term is not defined"
-    if isinstance(t, Psi):
-        j = i - 2
-        return t.nu[j] if 0 <= j < len(t.nu) else E_ZERO
-    if isinstance(t, OmegaIdx) and i == 2 and is_successor_term(t.b):
-        return E_ONE
-    return E_ZERO
+    j = i - 2
+    return t.m[j] if 0 <= j < len(t.m) else E_ZERO
 
 
 def m_profile(t):
     """Logical positions at which t carries a non-zero coefficient."""
     assert t is not BIG_K
-    if isinstance(t, Psi):
-        return tuple(i + 2 for i, e in enumerate(t.nu) if e is not E_ZERO)
-    if isinstance(t, OmegaIdx) and is_successor_term(t.b):
-        return (2,)
-    return ()
+    return tuple(i for i, e in enumerate(t.m, 2) if e is not E_ZERO)
 
 
 def m_vec(t, params):
     """The full recorded coefficient vector of t, or None for the top term."""
     if t is BIG_K:
         return None
-    if isinstance(t, Psi):
-        return t.nu
-    vec = zero_vec(params.n)
-    if isinstance(t, OmegaIdx) and is_successor_term(t.b):
-        return (E_ONE,) + vec[1:]
-    return vec
+    return t.m + zero_vec(params.n)[len(t.m):]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def _print_principal(t):
     if isinstance(t, OmegaIdx):
         return "Om(%s)" % print_ord(t.b)
     if isinstance(t, Psi):
-        if t.nu_zero:
+        if not t.m:
             return "psi(%s; %s)" % (print_ord(t.pi), print_ord(t.a))
         return "psi(%s; %s; %s)" % (
             print_ord(t.pi), print_seq(t.nu), print_ord(t.a))

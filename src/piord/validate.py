@@ -11,8 +11,8 @@ from collections import namedtuple
 from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    collapsing_series, is_strongly_critical,
-    k_components, m_at, m_profile,
+    collapsing_series, is_regular, is_strongly_critical,
+    k_components, k_components_vec, m_at,
 )
 from .order import (
     GT, LT,
@@ -191,16 +191,8 @@ def _check_psi(t, params):
                  "no psi rule matches base %r with this vector" % (t.pi,))
 
 
-def _is_regular(pi):
-    if pi is BIG_K:
-        return True
-    if isinstance(pi, (OmegaIdx, Psi)):
-        return bool(m_profile(pi))
-    return False
-
-
 def _check_psi9(t, params):
-    if not _is_regular(t.pi):
+    if not is_regular(t.pi):
         return _fail(PSI9, "regular base", repr(t.pi))
     ks = k_delta_set(t, (t.pi, t.a))
     if not kset_below(ks, t.a):
@@ -220,39 +212,30 @@ def _check_psi10(t, params):
 
 def _check_psi11(t, params):
     pi = t.pi
-    prof = m_profile(pi)
-    j = prof[-1]                       # position of the last non-zero m
-    k = j - 1
+    k = len(pi.m)          # m(pi) ends at position k + 1, the step is at k
     if not 2 <= k <= params.n - 2:
         return _fail(PSI11, "position", "k=%d" % k)
     # vector must copy m(pi) strictly below k and vanish strictly above
     for i in params.logical_indices():
-        if i < k and t.nu[i - 2] is not m_at(pi, i):
+        if i < k and t.nu[i - 2] is not pi.m[i - 2]:
             return _fail(PSI11, "vector prefix",
                          "entry %d differs from base coefficient" % i)
         if i > k and t.nu[i - 2] is not E_ZERO:
             return _fail(PSI11, "vector tail", "entry %d non-zero" % i)
     ps_k = pairs(t.nu[k - 2])
-    ps_m = pairs(m_at(pi, k))
+    ps_m = pairs(pi.m[-2])
     if not (len(ps_k) == len(ps_m) + 1 and ps_k[:len(ps_m)] == ps_m
-            and ps_k[-1][0] is m_at(pi, j)):
+            and ps_k[-1][0] is pi.m[-1]):
         return _fail(PSI11, "entry k = m_k + base-power")
     b = ps_k[-1][1]
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI11, "0 < b <= a", "b=%r a=%r" % (b, t.a))
     ks = k_delta_set(t, (pi, t.a, b))
-    for g in _mvec_components(pi, params):
+    for g in k_components_vec(pi.m):
         ks |= k_delta(t, g)
     if not kset_below(ks, t.a):
         return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a", _kset_repr(ks))
     return ValidationReport(PSI11)
-
-
-def _mvec_components(pi, params):
-    out = frozenset()
-    for i in params.logical_indices():
-        out |= k_components(m_at(pi, i))
-    return out
 
 
 def _check_psi12(t, params):
@@ -289,7 +272,7 @@ def _kset_repr(ks):
 def rule_vs_series(t, params):
     """True when the pd-chain length matches the formation rule of a
     psi term with non-zero coefficients."""
-    if not isinstance(t, Psi) or t.nu_zero:
+    if not isinstance(t, Psi) or not t.m:
         raise NotMahloTerm(repr(t))
     rep = check_ot(t, params)
     if not rep.ok:

@@ -60,6 +60,18 @@ def test_usage_errors_exit_2():
     assert code == 0 and out.startswith("usage: piord")
 
 
+def test_parser_usage_errors_print_one_line():
+    for argv in (["cmp", "K"], ["--bogus", "cmp", "0", "1"], ["nosuch"],
+                 ["--format", "xml", "cmp", "0", "1"],
+                 ["props", "--triples", "-1"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+    code, out, err = run(["cmp", "--help"])
+    assert code == 0 and out.startswith("usage: piord cmp") and err == ""
+
+
 def test_numbers_past_their_limit_are_usage_errors():
     for argv in (["check", "99999999999999999999"],
                  ["check", str(MAX_NUMERAL + 1)],

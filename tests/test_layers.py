@@ -3,9 +3,11 @@
 Every function and call site named in `perfbench/layers.json` must exist,
 and each call site must be bound to one of the layer functions, so that a
 rename fails here rather than only in a traced benchmark run.  Every name a
-piord module exports in `__all__` must exist as well.
+piord module exports in `__all__` must exist as well, and every name it
+imports must be used.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -46,3 +48,25 @@ def test_every_exported_name_resolves():
         module = importlib.import_module("piord." + info.name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), "piord.%s.%s" % (info.name, name)
+
+
+def test_every_imported_name_is_used():
+    # a module-level import is used in its module, re-exported in its
+    # __all__, or bound as a call site of the layer map; the package
+    # __init__ is the public surface and imports names only to export them
+    layers, _ = _layer_functions()
+    sites = set(layers["call_sites"])
+    for info in pkgutil.iter_modules(piord.__path__):
+        qualname = "piord." + info.name
+        module = importlib.import_module(qualname)
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        kept = used | set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                assert name in kept or "%s.%s" % (qualname, name) in sites, \
+                    "%s imports %s and never uses it" % (qualname, name)

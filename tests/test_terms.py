@@ -2,12 +2,14 @@ import pytest
 
 from piord.errors import MalformedChain
 from piord.terms import (
-    BIG_K, E_ZERO, ONE, ZERO,
-    collapsing_series, from_parts, is_principal, is_successor_term,
-    k_components, m_at, m_profile,
+    BIG_K, E_ONE, E_ZERO, ONE, ZERO,
+    EOrd, OmegaIdx, Psi,
+    all_subterms, collapsing_series, from_parts, is_principal, is_regular,
+    is_successor_term, is_zero_vec, k_components, m_at, m_profile, m_vec,
     mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_idx,
-    pd, pd_iter, prec, prec_eq, strip_zeros,
+    pd, pd_iter, prec, prec_eq, strip_zeros, zero_vec,
 )
+from piord.order import PSI9, PSI10, PSI11, PSI12, rule_tag
 from piord.params import SystemParams
 from piord.arith import add, from_int, psiK, psi_step, psi0
 from piord.cnf import from_pairs
@@ -134,6 +136,81 @@ def test_m_profile():
     assert m_profile(om_limit) == ()
     t = psiK(ONE, ONE, P4)
     assert m_profile(t) == (3,)
+
+
+# The recorded coefficients as they were read off each node's class before
+# the constructors stored them in the ``m`` slot: the reference for the slot.
+
+def _ref_m_at(t, i):
+    if isinstance(t, Psi):
+        j = i - 2
+        return t.nu[j] if 0 <= j < len(t.nu) else E_ZERO
+    if isinstance(t, OmegaIdx) and i == 2 and is_successor_term(t.b):
+        return E_ONE
+    return E_ZERO
+
+
+def _ref_m_profile(t):
+    if isinstance(t, Psi):
+        return tuple(i + 2 for i, e in enumerate(t.nu) if e is not E_ZERO)
+    if isinstance(t, OmegaIdx) and is_successor_term(t.b):
+        return (2,)
+    return ()
+
+
+def _ref_m_vec(t, params):
+    if isinstance(t, Psi):
+        return t.nu
+    vec = zero_vec(params.n)
+    if isinstance(t, OmegaIdx) and is_successor_term(t.b):
+        return (E_ONE,) + vec[1:]
+    return vec
+
+
+def _ref_is_regular(pi):
+    if pi is BIG_K:
+        return True
+    if isinstance(pi, (OmegaIdx, Psi)):
+        return bool(_ref_m_profile(pi))
+    return False
+
+
+def _ref_rule_tag(t):
+    if is_zero_vec(t.nu):
+        return PSI9
+    if t.pi is BIG_K:
+        body, last = t.nu[:-1], t.nu[-1]
+        return PSI10 if is_zero_vec(body) and isinstance(last, EOrd) else None
+    prof = _ref_m_profile(t.pi)
+    if not prof:
+        return None
+    return PSI11 if prof[-1] >= 3 else PSI12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_m_slot_matches_class_reference(n, corpus3, corpus4):
+    params = SystemParams(n)
+    corpus = corpus3 if n == 3 else corpus4
+    terms = set(corpus.terms)
+    for w in witness_terms(params):
+        terms |= all_subterms(w)
+    rules = set()
+    for t in terms:
+        assert not t.m or t.m[-1] is not E_ZERO, t
+        assert is_regular(t) == _ref_is_regular(t), t
+        if t is BIG_K:
+            continue
+        for i in params.logical_indices():
+            assert m_at(t, i) is _ref_m_at(t, i), (t, i)
+        assert m_profile(t) == _ref_m_profile(t), t
+        assert m_vec(t, params) == _ref_m_vec(t, params), t
+        if isinstance(t, Psi):
+            rules.add(rule_tag(t))
+            assert rule_tag(t) == _ref_rule_tag(t), t
+    # every formation rule (the stepping rule needs N >= 4) and a
+    # successor-Omega base are exercised
+    assert rules == {PSI9, PSI10, PSI12} | ({PSI11} if n >= 4 else set())
+    assert any(isinstance(t, OmegaIdx) and t.m for t in terms)
 
 
 def test_strip_zeros():
