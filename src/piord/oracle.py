@@ -334,10 +334,10 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     (all triples when the corpus is tiny)."""
     terms = corpus.terms
     n = len(terms)
-    # both directions of a pair run the uncached body of the comparator
-    # this module names at call time (a substitute is checked as given):
-    # each is computed, never read back from a stored entry, and the pairs
-    # take no memo space
+    # every comparison of both suites runs the uncached body of the
+    # comparator this module names at call time (a substitute is checked as
+    # given): each is computed, never read back from a stored entry, and no
+    # top-level pair or triple takes memo space
     cmp_fresh = cmp_ord
     while hasattr(cmp_fresh, "__wrapped__"):
         cmp_fresh = cmp_fresh.__wrapped__
@@ -349,19 +349,33 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
             return "%s vs %s: %d/%d" % (print_ord(ti), print_ord(tj), c1, c2)
 
     def transitive(a, b, c):
-        r1, r2, r3 = cmp_ord(a, b), cmp_ord(b, c), cmp_ord(a, c)
+        r1, r2, r3 = cmp_fresh(a, b), cmp_fresh(b, c), cmp_fresh(a, c)
         if r1 == r2 and r3 != r1:
             return "%s, %s, %s" % (print_ord(a), print_ord(b), print_ord(c))
 
     if n * (n - 1) * (n - 2) // 6 <= triple_sample:
         triples = itertools.combinations(terms, 3)
     else:
-        rng = random.Random(seed)
-        triples = ([terms[i] for i in sorted(rng.sample(range(n), 3))]
-                   for _ in range(triple_sample))
+        triples = ([terms[i] for i in ijk]
+                   for ijk in _index_triples(n, triple_sample, seed))
     return [_suite("trichotomy+antisymmetry", itertools.combinations(terms, 2),
                    antisymmetric),
             _suite("transitivity", triples, transitive)]
+
+
+def _index_triples(n, count, seed):
+    """count seeded ascending triples of distinct indices below n: for n > 21,
+    the sorted draws of ``random.Random(seed).sample(range(n), 3)``."""
+    draw = random.Random(seed).randrange
+    for _ in range(count):
+        i = draw(n)
+        j = draw(n)
+        while j == i:
+            j = draw(n)
+        k = draw(n)
+        while k == i or k == j:
+            k = draw(n)
+        yield sorted((i, j, k))
 
 
 # ---------------------------------------------------------------------------

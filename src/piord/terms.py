@@ -26,7 +26,7 @@ __all__ = [
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
     "k_components", "k_components_vec",
-    "m_at", "m_profile", "m_vec",
+    "m_at", "m_vec",
     "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
     "all_subterms",
     "print_ord", "print_exp", "print_seq",
@@ -305,12 +305,6 @@ def m_at(t, i):
     assert t is not BIG_K, "m-vector of the top term is not defined"
     j = i - 2
     return t.m[j] if 0 <= j < len(t.m) else E_ZERO
-
-
-def m_profile(t):
-    """Logical positions at which t carries a non-zero coefficient."""
-    assert t is not BIG_K
-    return tuple(i for i, e in enumerate(t.m, 2) if e is not E_ZERO)
 
 
 def m_vec(t, params):

@@ -1,5 +1,6 @@
 import io
 import pathlib
+import random
 import types
 
 import pytest
@@ -9,7 +10,7 @@ from piord.params import SystemParams
 from piord.terms import BIG_K, ZERO, Psi
 import piord.order
 import piord.oracle as oracle
-from piord.order import clear_caches, cmp_ord, GT, LT
+from piord.order import _k_delta, clear_caches, cmp_ord, GT, LT
 from piord.validate import check_ot
 from piord.arith import theorem_bound
 from piord.oracle import (
@@ -230,3 +231,58 @@ def test_antisymmetry_fault_is_caught(monkeypatch):
     assert tri.name == "trichotomy+antisymmetry"
     assert not tri.ok
     assert tri.failures[0].endswith(": -1/-1")
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_axiom_suites_add_no_memo_entries(params):
+    # the triples' comparisons are computed, not stored: the memo holds
+    # the same entries with or without them
+    corpus = enumerate_corpus(params, 7)
+    sizes = []
+    try:
+        for triples in (0, 20_000):
+            clear_caches()
+            check_order_axioms(corpus, triple_sample=triples)
+            sizes.append((cmp_ord.cache_info().currsize,
+                          _k_delta.cache_info().currsize))
+    finally:
+        clear_caches()
+    assert sizes[0] == sizes[1]
+
+
+def test_transitivity_fault_is_caught(monkeypatch):
+    # a psi comparison answering GT for one pair (a, c) with a census term
+    # between them must not hide behind the memo a full run has filled
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    psis = [i for i, t in enumerate(terms) if isinstance(t, Psi)]
+    ia = psis[0]
+    ic = next(i for i in psis if i > ia + 1)
+    a, b, c = terms[ia], terms[ia + 1], terms[ic]
+    real = piord.order._cmp_psi_psi
+    clear_caches()
+    try:
+        check_order_axioms(corpus)
+        with monkeypatch.context() as m:
+            m.setattr(piord.order, "_cmp_psi_psi",
+                      lambda s, t: GT if (s, t) == (a, c) else real(s, t))
+            _, trans = check_order_axioms(corpus)
+    finally:
+        clear_caches()
+    assert trans.name == "transitivity"
+    assert trans.checked == len(terms) * (len(terms) - 1) * (len(terms) - 2) // 6
+    assert not trans.ok
+    assert trans.failures[0] == "%s, %s, %s" % (
+        print_ord(a), print_ord(b), print_ord(c))
+
+
+@pytest.mark.parametrize("seed", [0, 20240809])
+def test_seeded_triples_are_unchanged(seed):
+    # above 21 items, the draws of random.sample(range(n), 3), sorted
+    for n in (22, 41, 1227):
+        rng = random.Random(seed)
+        expected = [sorted(rng.sample(range(n), 3)) for _ in range(2000)]
+        assert list(oracle._index_triples(n, 2000, seed)) == expected
+    for n in (3, 10, 21):
+        for i, j, k in oracle._index_triples(n, 2000, seed):
+            assert 0 <= i < j < k < n
