@@ -331,50 +331,84 @@ def _suite(name, cases, fails):
 def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     """Trichotomy and antisymmetry on all pairs, which must also agree with
     the corpus's ascending order; transitivity on seeded random triples
-    (all triples when the corpus is tiny)."""
+    (all triples when the corpus is tiny).
+
+    Transitivity is judged from the forward results the pair suite has
+    just computed, not from new comparisons.  This is the same check: a
+    triple is three ascending indices i < j < k, so its comparisons
+    (i, j), (j, k) and (i, k) are forward pairs of that suite, and the
+    comparator answers a pair the same way each time it is asked.  A pair
+    the suite left undecided fails every triple that needs it, with the
+    same message."""
     terms = corpus.terms
     n = len(terms)
-    # every comparison of both suites runs the uncached body of the
-    # comparator this module names at call time (a substitute is checked as
-    # given): each is computed, never read back from a stored entry, and no
-    # top-level pair or triple takes memo space
+    # every comparison runs the uncached body of the comparator this module
+    # names at call time (a substitute is checked as given): each is
+    # computed once, never read back from a stored entry, and no top-level
+    # pair takes memo space
     cmp_fresh = cmp_ord
     while hasattr(cmp_fresh, "__wrapped__"):
         cmp_fresh = cmp_fresh.__wrapped__
+    # (i, j) with i < j -> the forward result when it is not LT, or the
+    # ComparisonUndecided it raised
+    forward = {}
 
-    def antisymmetric(ti, tj):
-        c1 = cmp_fresh(ti, tj)
+    def antisymmetric(i, j):
+        ti, tj = terms[i], terms[j]
+        try:
+            c1 = cmp_fresh(ti, tj)
+        except ComparisonUndecided as exc:
+            forward[i, j] = exc
+            raise
+        if c1 != LT:
+            forward[i, j] = c1
         c2 = cmp_fresh(tj, ti)
         if c1 != LT or c2 != GT:
             return "%s vs %s: %d/%d" % (print_ord(ti), print_ord(tj), c1, c2)
 
-    def transitive(a, b, c):
-        r1, r2, r3 = cmp_fresh(a, b), cmp_fresh(b, c), cmp_fresh(a, c)
+    def judged(i, j):
+        r = forward.get((i, j), LT)
+        if isinstance(r, ComparisonUndecided):
+            # a fresh traceback, or each raise would lengthen the stored one
+            raise r.with_traceback(None)
+        return r
+
+    def transitive(i, j, k):
+        r1, r2, r3 = judged(i, j), judged(j, k), judged(i, k)
         if r1 == r2 and r3 != r1:
-            return "%s, %s, %s" % (print_ord(a), print_ord(b), print_ord(c))
+            return "%s, %s, %s" % tuple(print_ord(terms[x]) for x in (i, j, k))
 
     if n * (n - 1) * (n - 2) // 6 <= triple_sample:
-        triples = itertools.combinations(terms, 3)
+        triples = itertools.combinations(range(n), 3)
     else:
-        triples = ([terms[i] for i in ijk]
-                   for ijk in _index_triples(n, triple_sample, seed))
-    return [_suite("trichotomy+antisymmetry", itertools.combinations(terms, 2),
-                   antisymmetric),
+        triples = _index_triples(n, triple_sample, seed)
+    return [_suite("trichotomy+antisymmetry",
+                   itertools.combinations(range(n), 2), antisymmetric),
             _suite("transitivity", triples, transitive)]
 
 
 def _index_triples(n, count, seed):
     """count seeded ascending triples of distinct indices below n: for n > 21,
     the sorted draws of ``random.Random(seed).sample(range(n), 3)``."""
-    draw = random.Random(seed).randrange
+    # randrange(n) as CPython draws it: n.bit_length() random bits, redrawn
+    # until below n
+    bits = random.Random(seed).getrandbits
+    width = n.bit_length()
+
+    def draw():
+        r = bits(width)
+        while r >= n:
+            r = bits(width)
+        return r
+
     for _ in range(count):
-        i = draw(n)
-        j = draw(n)
+        i = draw()
+        j = draw()
         while j == i:
-            j = draw(n)
-        k = draw(n)
+            j = draw()
+        k = draw()
         while k == i or k == j:
-            k = draw(n)
+            k = draw()
         yield sorted((i, j, k))
 
 

@@ -286,3 +286,22 @@ def test_seeded_triples_are_unchanged(seed):
     for n in (3, 10, 21):
         for i, j, k in oracle._index_triples(n, 2000, seed):
             assert 0 <= i < j < k < n
+
+
+@pytest.mark.parametrize("triples", [0, 100_000], ids=["pairs", "default"])
+def test_each_census_comparison_is_computed_once(monkeypatch, triples):
+    # transitivity judges the pair suite's forward results: with every
+    # triple of the 41-term census checked, no comparison is made twice
+    corpus = enumerate_corpus(P4, 6)
+    n = len(corpus.terms)
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return cmp_ord(x, y)
+
+    monkeypatch.setattr(oracle, "cmp_ord", counting)
+    tri, trans = check_order_axioms(corpus, triple_sample=triples)
+    assert tri.ok and trans.ok
+    assert trans.checked == (n * (n - 1) * (n - 2) // 6 if triples else 0)
+    assert len(calls) == len(set(calls)) == n * (n - 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,13 +8,16 @@ from piord.params import SystemParams
 from piord.terms import (
     BIG_K, E_ONE, E_ZERO, ONE, ZERO, EOrd, LamSum, Psi, mk_eord, mk_psi,
 )
+import piord.order
 from piord.order import (
-    EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta, le, lt,
+    EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta, k_delta_set,
+    kset_below, le, lt,
 )
+from piord.cnf import lx_lt
 from piord.arith import (
     add, from_int, omega_exp, omega_idx, psi0, psiK, theorem_bound, veblen,
 )
-from piord.oracle import _exp_pool, witness_terms
+from piord.oracle import _exp_pool, enumerate_corpus, witness_terms
 from piord.syntax import parse_ord
 
 P3 = SystemParams(3)
@@ -120,6 +125,36 @@ def test_k_delta_examples():
     # no formation rule shapes a top collapse with its entry at slot 2
     with pytest.raises(InvalidTerm):
         k_delta(ZERO, mk_psi(BIG_K, (E_ONE, E_ZERO), ONE))
+
+
+def _ref_psi_lt(s, t):
+    """The four-clause test with its K-set tests over union sets."""
+    pi, nu, b = s.pi, s.nu, s.a
+    ka, xi, a = t.pi, t.nu, t.a
+    if cmp_ord(pi, t) <= EQ:
+        return True
+    c = cmp_ord(b, a)
+    if c == LT:
+        if cmp_ord(s, ka) == LT:
+            ks = k_delta_set(t, (pi, b)) | k_delta_set(t, s.nu_comps)
+            if kset_below(ks, a):
+                return True
+    else:
+        if cmp_ord(ka, s) == GT:
+            ks = k_delta_set(s, (ka, a)) | k_delta_set(s, t.nu_comps)
+            if any(cmp_ord(b, g) <= EQ for g in ks):
+                return True
+        if c == EQ and pi is ka:
+            if kset_below(k_delta_set(t, s.nu_comps), a) and lx_lt(nu, xi):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_psi_clauses_match_the_set_based_tests(params):
+    psis = [x for x in enumerate_corpus(params, 8).terms if isinstance(x, Psi)]
+    for s, u in itertools.permutations(psis, 2):
+        assert piord.order._psi_lt(s, u) == _ref_psi_lt(s, u), (s, u)
 
 
 def test_hull_member_examples():
