@@ -1,9 +1,10 @@
 """Concrete syntax: a whitespace-insensitive grammar with decimal sugar.
 
-    ord  := "0" | "K" | prin ("+" prin)*
-    prin := "phi(" ord "," ord ")" | "w^(" ord ")" | "Om(" ord ")"
-          | "psi(" ord ";" ord ")" | "psi(" ord ";" "[" exp ("," exp)* "]" ";" ord ")"
-    exp  := "0" | ord | lam ("+" lam)*
+    ord  := prin ("+" prin)*
+    prin := numeral | "K" | "phi(" ord "," ord ")" | "w^(" ord ")"
+          | "Om(" ord ")" | "psi(" ord ";" (seq ";")? ord ")"
+    seq  := "[" exp ("," exp)* "]"
+    exp  := lam ("+" lam)* | ord
     lam  := "L^(" exp ")*(" ord ")"
 
 Decimal literals abbreviate finite sums of phi(0,0).  Parsing is structural:
@@ -26,10 +27,6 @@ __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 MAX_NUMERAL = 1000
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
 class _Parser:
     def __init__(self, text, params):
         self.text = text
@@ -42,107 +39,75 @@ class _Parser:
     def error(self, message, pos=None):
         raise OrdSyntaxError(message, self.pos if pos is None else pos)
 
-    def skip_ws(self):
+    def at(self, lit):
+        """Skip whitespace; tell whether lit comes next."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def looking_at(self, lit):
-        self.skip_ws()
         return self.text.startswith(lit, self.pos)
 
+    def accept(self, lit):
+        if self.at(lit):
+            self.pos += len(lit)
+            return True
+        return False
+
     def expect(self, lit):
-        if not self.looking_at(lit):
+        if not self.accept(lit):
             self.error("expected %r" % lit)
-        self.pos += len(lit)
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    # -- ord ----------------------------------------------------------------
 
     def ord(self):
-        parts = [self.ord_chunk()]
-        while self.looking_at("+"):
-            self.expect("+")
-            parts.append(self.ord_chunk())
+        parts = [self.prin()]
+        while self.accept("+"):
+            parts.append(self.prin())
         if len(parts) == 1:
             return parts[0]
         if ZERO in parts:
             self.error("zero cannot appear inside a sum")
         return mk_sum([q for p in parts for q in p.parts])
 
-    def ord_chunk(self):
-        c = self.peek()
-        if c.isdecimal():
-            return self.number()
-        if c == "K":
-            self.expect("K")
-            return BIG_K
-        return self.principal()
-
-    def number(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        digits = self.text[start:self.pos].lstrip("0") or "0"
-        # the length test comes first, so a long digit run is never converted
-        if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
-            self.error("numeral above %d" % MAX_NUMERAL, start)
-        return from_parts((ONE,) * int(digits))
-
-    def principal(self):
-        if self.looking_at("phi("):
-            self.expect("phi(")
-            b = self.ord()
-            self.expect(",")
-            g = self.ord()
-            self.expect(")")
-            return mk_veblen(b, g)
-        if self.looking_at("w^("):
-            self.expect("w^(")
-            b = self.ord()
-            self.expect(")")
-            return mk_omega_exp(b)
-        if self.looking_at("Om("):
-            self.expect("Om(")
-            b = self.ord()
-            self.expect(")")
-            return mk_omega_idx(b)
-        if self.looking_at("psi("):
-            return self.psi()
-        self.error("expected a term")
-
-    def psi(self):
-        self.expect("psi(")
-        pi = self.ord()
-        self.expect(";")
-        if self.looking_at("["):
-            nu = self.seq()
-            self.expect(";")
-            a = self.ord()
-            self.expect(")")
-            t = mk_psi(pi, nu, a)
-            if is_zero_vec(nu):
-                self.zero_claims.append(t)
-            return t
+    def ord_close(self):
         a = self.ord()
         self.expect(")")
-        return mk_psi(pi, zero_vec(self.n), a)
+        return a
 
-    # -- exponents ------------------------------------------------------------
+    def prin(self):
+        if self.accept("K"):
+            return BIG_K
+        start = self.pos                # accept has skipped the whitespace
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos > start:
+            digits = self.text[start:self.pos].lstrip("0") or "0"
+            # the length test comes first: a long run is never converted
+            if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+                self.error("numeral above %d" % MAX_NUMERAL, start)
+            return from_parts((ONE,) * int(digits))
+        if self.accept("phi("):
+            b = self.ord()
+            self.expect(",")
+            return mk_veblen(b, self.ord_close())
+        if self.accept("w^("):
+            return mk_omega_exp(self.ord_close())
+        if self.accept("Om("):
+            return mk_omega_idx(self.ord_close())
+        if not self.accept("psi("):
+            self.error("expected a term")
+        pi = self.ord()
+        self.expect(";")
+        if not self.at("["):
+            return mk_psi(pi, zero_vec(self.n), self.ord_close())
+        nu = self.seq()
+        self.expect(";")
+        t = mk_psi(pi, nu, self.ord_close())
+        if is_zero_vec(nu):
+            self.zero_claims.append(t)
+        return t
 
     def seq(self):
         start = self.pos
         self.expect("[")
         entries = [self.exp()]
-        while self.looking_at(","):
-            self.expect(",")
+        while self.accept(","):
             entries.append(self.exp())
         self.expect("]")
         if len(entries) != self.n - 2:
@@ -152,25 +117,23 @@ class _Parser:
         return tuple(entries)
 
     def exp(self):
-        if self.looking_at("L^("):
-            ps = [self.lam()]
-            while self.looking_at("+") and self.looking_at_lam_after_plus():
-                self.expect("+")
-                ps.append(self.lam())
-            return mk_lamsum(tuple(ps))
-        a = self.ord()
-        return E_ZERO if a is ZERO else mk_eord(a)
-
-    def looking_at_lam_after_plus(self):
-        save = self.pos
-        self.expect("+")
-        ok = self.looking_at("L^(")
-        self.pos = save
-        return ok
+        if not self.at("L^("):
+            a = self.ord()
+            return E_ZERO if a is ZERO else mk_eord(a)
+        ps = [self.lam()]
+        back = self.pos
+        # a "+" joins the sum only when a base-power follows it
+        while self.accept("+") and (p := self.lam()):
+            ps.append(p)
+            back = self.pos
+        self.pos = back
+        return mk_lamsum(tuple(ps))
 
     def lam(self):
+        """One base-power (e, c), or None when "L^(" is not next."""
         start = self.pos
-        self.expect("L^(")
+        if not self.accept("L^("):
+            return None
         e = self.exp()
         if e is E_ZERO:
             self.error("zero base-power exponent is not a term", start)
@@ -182,25 +145,27 @@ class _Parser:
         return (e, c)
 
 
+def _parse(rule, text, params):
+    """Run one grammar rule over all of text; also return the claims."""
+    p = _Parser(text, params)
+    result = rule(p)
+    p.at("")                            # skip trailing whitespace
+    if p.pos < len(text):
+        p.error("unexpected trailing input")
+    return result, tuple(p.zero_claims)
+
+
 def parse_ord(text, params):
     """Parse an ordinal term; raises on leftover input."""
-    return parse_ord_claims(text, params)[0]
+    return _parse(_Parser.ord, text, params)[0]
 
 
 def parse_ord_claims(text, params):
     """Parse an ordinal term; also return the psi subterms whose spelling
     carried an explicit all-zero coefficient vector."""
-    p = _Parser(text, params)
-    t = p.ord()
-    if not p.at_end():
-        p.error("unexpected trailing input")
-    return t, tuple(p.zero_claims)
+    return _parse(_Parser.ord, text, params)
 
 
 def parse_seq(text, params):
     """Parse a bracketed coefficient vector."""
-    p = _Parser(text, params)
-    vec = p.seq()
-    if not p.at_end():
-        p.error("unexpected trailing input")
-    return vec
+    return _parse(_Parser.seq, text, params)[0]

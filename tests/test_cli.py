@@ -28,6 +28,8 @@ def test_check_ok_and_fail():
     assert code == 0 and "Psi10" in out
     code, out, _ = run(["check", "psi(K; [1,0]; 1)"])
     assert code == 1
+    code, out, _ = run(["check", "Om(K)"])
+    assert code == 1 and out == "fail Om(K): index in range: K\n"
 
 
 def test_check_json_lines():
@@ -198,6 +200,16 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["check", term])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout.startswith("ok ")
+    # parsing sets the cold limit of cmp and mvec, 327 levels; a parser
+    # that spent one more frame per level would fail near 245
+    deep = ["psi(Om(1); " + "w^(" * k + "K+1" + ")" * k + ")"
+            for k in (320, 319)]
+    proc = _fresh_cli(["cmp"] + deep)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == ">\n"
+    proc = _fresh_cli(["mvec", deep[0]])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "[0,0]\n"
 
 
 def test_too_deep_input_is_a_usage_error():

@@ -1,10 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from piord.errors import ArityError, OrdSyntaxError
 from piord.params import SystemParams
 from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord
-from piord.syntax import parse_ord, parse_seq, print_ord, print_seq
+from piord.syntax import (
+    parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
+)
 from piord.arith import from_int, psi0
 
 P3 = SystemParams(3)
@@ -19,7 +23,25 @@ def test_atoms_and_numbers():
     assert print_ord(from_int(3)) == "3"
 
 
-def test_whitespace_insensitive():
+# the grammar's tokens; ")*(" comes before ")" so it stays one token
+TOKEN = re.compile(r"phi\(|w\^\(|Om\(|psi\(|L\^\(|\)\*\(|\d+|[K+,;()\[\]]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_whitespace_insensitive(data, corpus3, corpus4):
+    params, corpus = data.draw(st.sampled_from([(P3, corpus3), (P4, corpus4)]))
+    t = data.draw(st.sampled_from(corpus.terms))
+    text = print_ord(t)
+    tokens = TOKEN.findall(text)
+    assert "".join(tokens) == "".join(text.split())
+    runs = data.draw(st.lists(st.text(" \t\n", max_size=3),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    spaced = "".join(w + tok for w, tok in zip(runs, tokens)) + runs[-1]
+    for spelling in (text, spaced):
+        got, claims = parse_ord_claims(spelling, params)
+        assert got is t and claims == ()
     a = parse_ord("psi( K ;  [ 0 , 1 ] ; 1 )", P4)
     b = parse_ord("psi(K;[0,1];1)", P4)
     assert a is b
@@ -71,6 +93,66 @@ def test_syntax_errors_have_positions():
         parse_ord("K K", P4)
     with pytest.raises(OrdSyntaxError):
         parse_ord("0+K", P4)
+
+
+# (parser, N, input, exception class, message, position): every error the
+# parser reports, with the position counted in characters from the start of
+# the input, after any whitespace in front of the offending token
+ERROR_TABLE = [
+    (parse_ord, 4, "phi(0;0)", OrdSyntaxError, "expected ','", 5),
+    (parse_ord, 4, "phi(0,0", OrdSyntaxError, "expected ')'", 7),
+    (parse_ord, 4, "w^(K", OrdSyntaxError, "expected ')'", 4),
+    (parse_ord, 4, "psi(K, 1)", OrdSyntaxError, "expected ';'", 5),
+    (parse_ord, 4, "psi(K; [0,0] 1)", OrdSyntaxError, "expected ';'", 13),
+    (parse_seq, 4, "0", OrdSyntaxError, "expected '['", 0),
+    (parse_seq, 4, "[0,0", OrdSyntaxError, "expected ']'", 4),
+    (parse_seq, 4, "[L^(1)*(2)+1, 0]", OrdSyntaxError, "expected ']'", 10),
+    (parse_ord, 4, "psi(K; [L^(1)(2),0]; 1)", OrdSyntaxError,
+     "expected ')*('", 12),
+    (parse_ord, 4, "", OrdSyntaxError, "expected a term", 0),
+    (parse_ord, 4, "   ", OrdSyntaxError, "expected a term", 3),
+    (parse_ord, 4, "x", OrdSyntaxError, "expected a term", 0),
+    (parse_ord, 4, "K+", OrdSyntaxError, "expected a term", 2),
+    (parse_ord, 4, "K +", OrdSyntaxError, "expected a term", 3),
+    (parse_ord, 4, "phi(0 ;0)", OrdSyntaxError, "expected ','", 6),
+    (parse_ord, 4, "0+K", OrdSyntaxError,
+     "zero cannot appear inside a sum", 3),
+    (parse_ord, 4, "K + 0 ", OrdSyntaxError,
+     "zero cannot appear inside a sum", 6),
+    (parse_ord, 4, "psi(K; [L^(0)*(1),0]; 1)", OrdSyntaxError,
+     "zero base-power exponent is not a term", 8),
+    (parse_ord, 4, "  psi(K; [ L^(0)*(1),0]; 1)", OrdSyntaxError,
+     "zero base-power exponent is not a term", 11),
+    (parse_ord, 4, "psi(K; [L^(1)*(0),0]; 1)", OrdSyntaxError,
+     "zero base-power coefficient is not a term", 8),
+    (parse_ord, 4, "psi(K; [0]; 1)", ArityError,
+     "coefficient vector has 1 entries, need 2 for N=4", 7),
+    (parse_ord, 3, "psi(K; [0,1]; 1)", ArityError,
+     "coefficient vector has 2 entries, need 1 for N=3", 7),
+    (parse_seq, 4, "[0]", ArityError,
+     "coefficient vector has 1 entries, need 2 for N=4", 0),
+    (parse_ord, 4, "K K", OrdSyntaxError, "unexpected trailing input", 2),
+    (parse_ord, 4, "K  )", OrdSyntaxError, "unexpected trailing input", 3),
+    (parse_seq, 4, "[0,0] 1", OrdSyntaxError, "unexpected trailing input", 6),
+    (parse_ord, 4, "1001", OrdSyntaxError, "numeral above 1000", 0),
+    (parse_ord, 4, "00001001", OrdSyntaxError, "numeral above 1000", 0),
+    (parse_ord, 4, "123456789012", OrdSyntaxError, "numeral above 1000", 0),
+    # two quirks: a vector's arity error points at the whitespace before
+    # its "[", and a base-power after "+" starts right after the "+"
+    (parse_seq, 4, "  [0]", ArityError,
+     "coefficient vector has 1 entries, need 2 for N=4", 0),
+    (parse_ord, 4, "psi(K; [L^(1)*(2)+ L^(0)*(1),0]; 1)", OrdSyntaxError,
+     "zero base-power exponent is not a term", 18),
+]
+
+
+@pytest.mark.parametrize("parse, n, text, cls, message, pos", ERROR_TABLE)
+def test_error_reports(parse, n, text, cls, message, pos):
+    with pytest.raises(OrdSyntaxError) as exc:
+        parse(text, SystemParams(n))
+    assert type(exc.value) is cls
+    assert str(exc.value) == "%s (at position %d)" % (message, pos)
+    assert exc.value.pos == pos
 
 
 @settings(max_examples=400, deadline=None)

@@ -7,15 +7,16 @@ from piord.terms import (
     mk_psi, mk_sum, mk_veblen,
 )
 import piord.validate
-from piord.order import clear_caches
+from piord.order import clear_caches, rule_tag
 from piord.validate import (
     ValidationReport, check_ot, check_exp, rule_vs_series,
 )
 from piord.arith import add, from_int, psi0, psiK, psi_sd, psi_step
-from piord.syntax import parse_ord
+from piord.syntax import parse_ord, parse_seq
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
+P5 = SystemParams(5)
 
 
 def t(text, params=P4):
@@ -162,3 +163,98 @@ def test_accepting_formats_no_detail(monkeypatch):
     for rule, term in terms.items():
         rep = check_ot(term, P4)
         assert rep.ok and rep.rule == rule
+
+
+def _exp(text, params):
+    """The exponent text, read as the first entry of a coefficient vector."""
+    zeros = [",0"] * (params.n - 3)
+    return parse_seq("[%s%s]" % (text, "".join(zeros)), params)[0]
+
+
+_K_SUB = ("subterm", "invalid subterm phi(K,0)")
+
+# (checker, reader, params, input, rule, first failure): one input for each
+# rejection that a parsed term can reach.  Three are left out because no
+# term reaches them: Psi10's "K(b,a) < a" (with base K, no psi subterm of
+# b or a lies above the term, so the K-set is empty), Psi11's "position"
+# (rule_tag and the arity of the base's vector bound k) and _kset_repr's
+# empty set (a failed kset_below names an element).  A wrong arity and a
+# zero exponent inside a base-power sum cannot be spelled, so
+# test_arity_checked and test_check_exp build those terms instead.
+REJECTIONS = [
+    (check_ot, parse_ord, P4, "1+K", "Sum", ("weakly decreasing", "1 < K")),
+    (check_ot, parse_ord, P4, "K+phi(K,0)", "Sum", _K_SUB),
+    (check_ot, parse_ord, P4, "phi(phi(K,0),0)", "Veblen", _K_SUB),
+    (check_ot, parse_ord, P4, "phi(K,0)", "Veblen", ("args below top", "K")),
+    (check_ot, parse_ord, P4, "phi(0,phi(1,0))", "Veblen", (
+        "normal form", "second argument is a fixed point of the first level")),
+    (check_ot, parse_ord, P4, "phi(0,Om(1))", "Veblen", (
+        "normal form", "strongly critical second argument absorbs")),
+    (check_ot, parse_ord, P4, "phi(Om(1),0)", "Veblen", (
+        "normal form", "value collapses to the first argument")),
+    (check_ot, parse_ord, P4, "w^(phi(K,0))", "OmegaExp", _K_SUB),
+    (check_ot, parse_ord, P4, "w^(1)", "OmegaExp", (
+        "exponent above top", "1")),
+    (check_ot, parse_ord, P4, "Om(phi(K,0))", "OmegaIdx", _K_SUB),
+    (check_ot, parse_ord, P4, "Om(K)", "OmegaIdx", ("index in range", "K")),
+    (check_ot, parse_ord, P4, "Om(0)", "OmegaIdx", ("index in range", "0")),
+    (check_ot, parse_ord, P4, "Om(psi(K; 0))", "OmegaIdx", (
+        "normal form", "psi indices are fixed points")),
+    (check_ot, _exp, P4, "L^(1)*(1)", None, ("unknown node", "L^(1)*(1)")),
+    (check_exp, _exp, P3, "phi(K,0)", "EOrd", ("subterm", "phi(K,0)")),
+    (check_exp, _exp, P3, "L^(phi(K,0))*(1)", "LamSum", (
+        "subterm", "phi(K,0)")),
+    (check_exp, _exp, P3, "L^(1)*(phi(K,0))", "LamSum", (
+        "coefficient", "phi(K,0)")),
+    (check_exp, _exp, P3, "L^(1)*(1)+L^(2)*(1)", "LamSum", (
+        "strictly decreasing", "1 then 2")),
+    (check_ot, parse_ord, P4, "psi(phi(K,0); 0)", None, _K_SUB),
+    (check_ot, parse_ord, P4, "psi(K; [0,phi(K,0)]; 1)", None, (
+        "coefficient entry", "phi(K,0)")),
+    (check_ot, parse_ord, P4, "psi(K; [1,0]; 1)", None, (
+        "formation rule", "no psi rule matches base K with this vector")),
+    (check_ot, parse_ord, P4, "psi(psi(K; 0); [0,1]; 1)", None, (
+        "formation rule",
+        "no psi rule matches base psi(K; 0) with this vector")),
+    (check_ot, parse_ord, P4, "psi(psi(K; 0); 0)", "Psi9", (
+        "regular base", "psi(K; 0)")),
+    (check_ot, parse_ord, P4, "psi(Om(2); psi(K; K))", "Psi9", (
+        "K(pi,a) < a", "{K}")),
+    (check_ot, parse_ord, P4, "psi(K; [0,K]; 0)", "Psi10", (
+        "0 < b <= a", "b=K a=0")),
+    (check_ot, parse_ord, P5, "psi(psi(K; [0,0,K]; K); [1,0,0]; 1)", "Psi11", (
+        "vector prefix", "entry 2 differs from base coefficient")),
+    (check_ot, parse_ord, P4, "psi(psi(K; [0,K]; K); [0,1]; 1)", "Psi11", (
+        "vector tail", "entry 3 non-zero")),
+    (check_ot, parse_ord, P4, "psi(psi(K; [0,K]; K); [1,0]; 1)", "Psi11", (
+        "entry k = m_k + base-power", "")),
+    (check_ot, parse_ord, P4, "psi(psi(K; [0,1]; K); [L^(1)*(1),0]; 0)",
+     "Psi11", ("0 < b <= a", "b=1 a=0")),
+    (check_ot, parse_ord, P4, "psi(psi(K; [0,1]; K); [L^(1)*(1),0]; 1)",
+     "Psi11", ("K(pi,a,b) u K(K(m(pi))) < a", "{K}")),
+    (check_ot, parse_ord, P4, "psi(Om(1); [K,0]; K)", "Psi12", (
+        "vector in SD", "")),
+    (check_ot, parse_ord, P4, "psi(Om(1); [0,1]; 0)", "Psi12", (
+        "vector sp-below m_2(pi)", "1")),
+    (check_ot, parse_ord, P3, "psi(psi(K; [K]; K); [1]; K)", "Psi12", (
+        "K(pi,a) < a", "{K}")),
+    (check_ot, parse_ord, P3, "psi(psi(K; [K]; K); [psi(K; [K]; K)]; K+K)",
+     "Psi12", ("K_a(nu_2) < max K(nu_2)", "psi(K; [K]; K)")),
+]
+
+
+@pytest.mark.parametrize("check, read, params, text, rule, failure",
+                         REJECTIONS)
+def test_every_rejection(check, read, params, text, rule, failure):
+    assert check(read(text, params), params) == (rule, failure)
+
+
+def test_rule_vs_series_refuses_an_invalid_term():
+    with pytest.raises(NotMahloTerm, match="unvalidated term"):
+        rule_vs_series(t("psi(K; [0,K]; 0)"), P4)
+
+
+def test_rule_tag_names_no_rule():
+    assert rule_tag(BIG_K) is None
+    assert rule_tag(t("psi(K; [1,0]; 1)")) is None         # base K, body non-zero
+    assert rule_tag(t("psi(psi(K; 0); [0,1]; 1)")) is None  # base records no m
