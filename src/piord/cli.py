@@ -2,7 +2,9 @@
 
 The argument parser is built once, at import.  Each subcommand carries its
 handler, ``run(args, params, emit) -> exit code``; ``emit(record, text)``
-writes one json-lines record or one text line, as ``--format`` asks.
+writes one text line, or under ``--format json-lines`` the record that the
+zero-argument function ``record`` builds, so text output never prints the
+operands that only the record names.
 """
 
 import argparse
@@ -44,7 +46,7 @@ def main(argv=None, stdout=None, stderr=None):
         import json  # text output, the common case, never loads it
 
         def emit(record, text):
-            stdout.write(json.dumps(record, sort_keys=True) + "\n")
+            stdout.write(json.dumps(record(), sort_keys=True) + "\n")
     else:
         def emit(record, text):
             stdout.write(text + "\n")
@@ -71,13 +73,15 @@ def _check(args, params, emit):
         name = "0 < b" if zero_claims[0].pi is BIG_K else "non-zero vector"
         rep = ValidationReport(None, (name, "all-zero vector"))
     term = print_ord(t)
-    record = {"kind": "check", "term": term, "ok": rep.ok, "rule": rep.rule,
-              "checks": []}
+
+    def record():
+        checks = [] if rep.ok else [
+            {"name": rep.failure[0], "ok": False, "detail": rep.failure[1]}]
+        return {"kind": "check", "term": term, "ok": rep.ok,
+                "rule": rep.rule, "checks": checks}
     if rep.ok:
         emit(record, "ok %s (%s)" % (term, rep.rule))
         return 0
-    name, detail = rep.failure
-    record["checks"].append({"name": name, "ok": False, "detail": detail})
     emit(record, "fail %s: %s" % (term, rep.first_failure()))
     return 1
 
@@ -87,8 +91,8 @@ def _cmp(args, params, emit):
     b = parse_ord(args.right, params)
     c = cmp_ord(a, b)
     sym = "<" if c == LT else ("=" if c == EQ else ">")
-    emit({"kind": "cmp", "left": print_ord(a), "right": print_ord(b),
-          "result": sym}, sym)
+    emit(lambda: {"kind": "cmp", "left": print_ord(a), "right": print_ord(b),
+                  "result": sym}, sym)
     return 0
 
 
@@ -97,8 +101,8 @@ def _kset(args, params, emit):
     t = parse_ord(args.term, params)
     ks = sorted(k_delta(d, t), key=functools.cmp_to_key(cmp_ord))
     elements = [print_ord(g) for g in ks]
-    emit({"kind": "kset", "delta": print_ord(d), "term": print_ord(t),
-          "elements": elements}, "{" + ", ".join(elements) + "}")
+    emit(lambda: {"kind": "kset", "delta": print_ord(d), "term": print_ord(t),
+                  "elements": elements}, "{" + ", ".join(elements) + "}")
     return 0
 
 
@@ -106,7 +110,7 @@ def _mvec(args, params, emit):
     t = parse_ord(args.term, params)
     mv = m_vec(t, params)
     text = "undefined" if mv is None else print_seq(mv)
-    emit({"kind": "mvec", "term": print_ord(t), "mvec": text}, text)
+    emit(lambda: {"kind": "mvec", "term": print_ord(t), "mvec": text}, text)
     return 0
 
 
@@ -114,7 +118,7 @@ def _sd(args, params, emit):
     vec = parse_seq(args.seq, params)
     d = in_sd(vec)
     if d is None:
-        emit({"kind": "sd", "seq": print_seq(vec), "in_sd": False},
+        emit(lambda: {"kind": "sd", "seq": print_seq(vec), "in_sd": False},
              "not in SD")
         return 0
     lines = []
@@ -125,8 +129,8 @@ def _sd(args, params, emit):
             lines.append("extend k=%d zeta=%s a=%s %s"
                          % (step.k, print_exp(step.zeta), print_ord(step.a),
                             "keep-tail" if step.keep_tail else "zero-tail"))
-    emit({"kind": "sd", "seq": print_seq(vec), "in_sd": True,
-          "steps": lines}, "\n".join(lines))
+    emit(lambda: {"kind": "sd", "seq": print_seq(vec), "in_sd": True,
+                  "steps": lines}, "\n".join(lines))
     return 0
 
 
@@ -141,7 +145,7 @@ def _enumerate(args, params, emit):
             fh.write("".join(line + "\n" for line in lines))
     else:
         for i, line in enumerate(lines):
-            emit({"kind": "term", "index": i, "term": line}, line)
+            emit(lambda: {"kind": "term", "index": i, "term": line}, line)
     return 0
 
 
@@ -152,10 +156,10 @@ def _props(args, params, emit):
     sd_rep, unconfirmed = sd_cross_check(corpus)
     reports.append(sd_rep)
     for rep in reports:
-        emit({"kind": "prop", "name": rep.name, "ok": rep.ok,
-              "checked": rep.checked, "failures": rep.failures[:5]},
+        emit(lambda: {"kind": "prop", "name": rep.name, "ok": rep.ok,
+                      "checked": rep.checked, "failures": rep.failures[:5]},
              rep.line())
-    emit({"kind": "sd-unconfirmed", "count": len(unconfirmed)},
+    emit(lambda: {"kind": "sd-unconfirmed", "count": len(unconfirmed)},
          "sd-unconfirmed %d (conditions hold, no derivation found)"
          % len(unconfirmed))
     return 0 if all(rep.ok for rep in reports) else 1
@@ -165,17 +169,19 @@ def _descend(args, params, emit):
     corpus = _corpus(args, params)
     t = parse_ord(args.term, params)
     rep = descent_probe(t, corpus, args.steps, args.seed)
+    start, final = print_ord(t), print_ord(rep.final)
     text = ("chain length %d from %s, final %s, %s"
-            % (rep.chain_len, print_ord(t), print_ord(rep.final),
+            % (rep.chain_len, start, final,
                "bottom" if rep.hit_bottom else "budget"))
-    emit({"kind": "descend", "start": print_ord(t), "length": rep.chain_len,
-          "final": print_ord(rep.final), "bottom": rep.hit_bottom}, text)
+    emit(lambda: {"kind": "descend", "start": start, "length": rep.chain_len,
+                  "final": final, "bottom": rep.hit_bottom}, text)
     return 0
 
 
 def _bound(args, params, emit):
     t = theorem_bound(args.n, params)
-    emit({"kind": "bound", "n": args.n, "term": print_ord(t)}, print_ord(t))
+    term = print_ord(t)
+    emit(lambda: {"kind": "bound", "n": args.n, "term": term}, term)
     return 0
 
 

@@ -13,6 +13,8 @@ on ill-formed input.  The printers are defined in :mod:`piord.terms`, where
 they are every node's ``repr``, and exported from here as well.
 """
 
+import re
+
 from .errors import ArityError, OrdSyntaxError
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
@@ -27,11 +29,18 @@ __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 MAX_NUMERAL = 1000
 
 
+# The scanner consumes the whitespace after each token, and any in front of
+# the first, so it never rests on a blank: a literal test is one startswith,
+# and an error position is the offending token's.
+_BLANKS = re.compile(r"\s*").match
+_DIGITS = re.compile(r"\d+").match
+
+
 class _Parser:
     def __init__(self, text, params):
         self.text = text
         self.n = params.n
-        self.pos = 0
+        self.pos = _BLANKS(text).end()
         # psi terms spelled with an explicit all-zero vector: the spelling
         # claims a coefficient-carrying rule, which `check` must refute
         self.zero_claims = []
@@ -39,28 +48,32 @@ class _Parser:
     def error(self, message, pos=None):
         raise OrdSyntaxError(message, self.pos if pos is None else pos)
 
-    def at(self, lit):
-        """Skip whitespace; tell whether lit comes next."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text.startswith(lit, self.pos)
-
     def accept(self, lit):
-        if self.at(lit):
-            self.pos += len(lit)
-            return True
-        return False
+        """Consume lit and the whitespace after it when lit comes next."""
+        if not self.text.startswith(lit, self.pos):
+            return False
+        self.skip(len(lit))
+        return True
 
     def expect(self, lit):
-        if not self.accept(lit):
+        if not self.text.startswith(lit, self.pos):
             self.error("expected %r" % lit)
+        self.skip(len(lit))
+
+    def skip(self, n):
+        """Move past n characters and the whitespace after them."""
+        pos = self.pos + n
+        # most tokens have no blank after them; the match is costlier
+        self.pos = (_BLANKS(self.text, pos).end()
+                    if self.text[pos:pos + 1].isspace() else pos)
 
     def ord(self):
-        parts = [self.prin()]
+        t = self.prin()
+        if not self.text.startswith("+", self.pos):
+            return t
+        parts = [t]
         while self.accept("+"):
             parts.append(self.prin())
-        if len(parts) == 1:
-            return parts[0]
         if ZERO in parts:
             self.error("zero cannot appear inside a sum")
         return mk_sum([q for p in parts for q in p.parts])
@@ -71,37 +84,40 @@ class _Parser:
         return a
 
     def prin(self):
-        if self.accept("K"):
+        # the next character picks the alternative; psi, the most common
+        # principal term, is tried first
+        c = self.text[self.pos:self.pos + 1]
+        if c == "p" and self.accept("psi("):
+            pi = self.ord()
+            self.expect(";")
+            if not self.text.startswith("[", self.pos):
+                return mk_psi(pi, zero_vec(self.n), self.ord_close())
+            nu = self.seq()
+            self.expect(";")
+            t = mk_psi(pi, nu, self.ord_close())
+            if is_zero_vec(nu):
+                self.zero_claims.append(t)
+            return t
+        if c == "K":
+            self.skip(1)
             return BIG_K
-        start = self.pos                # accept has skipped the whitespace
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos > start:
-            digits = self.text[start:self.pos].lstrip("0") or "0"
-            # the length test comes first: a long run is never converted
-            if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
-                self.error("numeral above %d" % MAX_NUMERAL, start)
-            return from_parts((ONE,) * int(digits))
-        if self.accept("phi("):
+        if c == "O" and self.accept("Om("):
+            return mk_omega_idx(self.ord_close())
+        if c == "p" and self.accept("phi("):
             b = self.ord()
             self.expect(",")
             return mk_veblen(b, self.ord_close())
-        if self.accept("w^("):
+        if c == "w" and self.accept("w^("):
             return mk_omega_exp(self.ord_close())
-        if self.accept("Om("):
-            return mk_omega_idx(self.ord_close())
-        if not self.accept("psi("):
+        if not c.isdecimal():
             self.error("expected a term")
-        pi = self.ord()
-        self.expect(";")
-        if not self.at("["):
-            return mk_psi(pi, zero_vec(self.n), self.ord_close())
-        nu = self.seq()
-        self.expect(";")
-        t = mk_psi(pi, nu, self.ord_close())
-        if is_zero_vec(nu):
-            self.zero_claims.append(t)
-        return t
+        run = _DIGITS(self.text, self.pos)[0]
+        digits = run.lstrip("0") or "0"
+        # the length test comes first: a long run is never converted
+        if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+            self.error("numeral above %d" % MAX_NUMERAL)
+        self.skip(len(run))
+        return from_parts((ONE,) * int(digits))
 
     def seq(self):
         start = self.pos
@@ -117,7 +133,7 @@ class _Parser:
         return tuple(entries)
 
     def exp(self):
-        if not self.at("L^("):
+        if not self.text.startswith("L^(", self.pos):
             a = self.ord()
             return E_ZERO if a is ZERO else mk_eord(a)
         ps = [self.lam()]
@@ -149,7 +165,6 @@ def _parse(rule, text, params):
     """Run one grammar rule over all of text; also return the claims."""
     p = _Parser(text, params)
     result = rule(p)
-    p.at("")                            # skip trailing whitespace
     if p.pos < len(text):
         p.error("unexpected trailing input")
     return result, tuple(p.zero_claims)

@@ -400,6 +400,8 @@ def all_subterms(t):
 
 def print_ord(t):
     parts = t.parts
+    if len(parts) == 1 and t is not ONE:    # ONE prints as the numeral 1
+        return _print_principal(t)
     if not parts:
         return "0"
     # coalesce the maximal run of trailing ones into a decimal literal

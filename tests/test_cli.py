@@ -3,9 +3,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from piord import cli
 from piord.cli import main
-from piord.arith import MAX_STAGE
-from piord.syntax import MAX_NUMERAL
+from piord.arith import MAX_STAGE, theorem_bound
+from piord.syntax import MAX_NUMERAL, parse_ord
+from piord.terms import BIG_K, ONE, ZERO, m_vec
 
 
 def run(argv):
@@ -133,6 +137,75 @@ def test_sd_command():
     assert out.strip() == "not in SD"
 
 
+# operands spelled with their blanks left out: a record holds the printed
+# spelling, never the operand as given
+JSON_RECORDS = [
+    (["cmp", "Om(1)", "psi(Om(2);0)"],
+     {"kind": "cmp", "left": "Om(1)", "right": "psi(Om(2); 0)",
+      "result": "<"}),
+    (["kset", "0", "psi(K;K)"],
+     {"kind": "kset", "delta": "0", "term": "psi(K; K)", "elements": ["K"]}),
+    (["mvec", "Om(2)"], {"kind": "mvec", "term": "Om(2)", "mvec": "[1,0]"}),
+    (["mvec", "K"], {"kind": "mvec", "term": "K", "mvec": "undefined"}),
+    (["sd", "[L^(2)*(1), 1]"],
+     {"kind": "sd", "seq": "[L^(2)*(1),1]", "in_sd": True,
+      "steps": ["base a=1", "extend k=2 zeta=2 a=1 keep-tail"]}),
+    (["sd", "[1, 1]"], {"kind": "sd", "seq": "[1,1]", "in_sd": False}),
+    (["bound", "--n", "2"],
+     {"kind": "bound", "n": 2, "term": "psi(Om(1); w^(w^(K+1)))"}),
+    (["descend", "psi(K;K)", "--steps", "50", "--seed", "1",
+      "--size-cap", "5"],
+     {"kind": "descend", "start": "psi(K; K)", "length": 2, "final": "0",
+      "bottom": True}),
+]
+
+
+@pytest.mark.parametrize("argv, record", JSON_RECORDS)
+def test_json_lines_records(argv, record):
+    code, out, _ = run(["--format", "json-lines"] + argv)
+    assert code == 0
+    assert out == json.dumps(record, sort_keys=True) + "\n"
+
+
+def _printed(monkeypatch):
+    """Record each term and vector the command handlers print."""
+    calls = []
+    for name in ("print_ord", "print_seq"):
+        def spy(x, real=getattr(cli, name)):
+            calls.append(x)
+            return real(x)
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_text_output_prints_no_operand(monkeypatch, p4):
+    calls = _printed(monkeypatch)
+    for argv, printed in (
+            (["cmp", "psi(K; K)", "psi(Om(2); 0)"], []),
+            (["kset", "0", "psi(K; K)"], [BIG_K]),          # its element
+            (["mvec", "Om(2)"], [m_vec(parse_ord("Om(2)", p4), p4)]),
+            (["mvec", "K"], []),
+            (["sd", "[1,1]"], []),
+            (["sd", "[L^(2)*(1),1]"], [ONE, ONE])):          # its steps
+        calls.clear()
+        code, _, _ = run(argv)
+        assert code == 0 and calls == printed, argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_each_term_is_printed_once(monkeypatch, fmt, p4):
+    calls = _printed(monkeypatch)
+    code, _, _ = run(["--format", fmt, "check", "psi(K; [0,1]; 1)"])
+    assert code == 0 and calls == [parse_ord("psi(K; [0,1]; 1)", p4)]
+    calls.clear()
+    code, _, _ = run(["--format", fmt, "bound", "--n", "2"])
+    assert code == 0 and calls == [theorem_bound(2, p4)]
+    calls.clear()
+    code, _, _ = run(["--format", fmt, "descend", "psi(K; K)", "--steps",
+                      "50", "--seed", "1", "--size-cap", "5"])
+    assert code == 0 and calls == [parse_ord("psi(K; K)", p4), ZERO]
+
+
 def test_bound_command():
     code, out, _ = run(["bound", "--n", "1"])
     assert code == 0 and out.strip() == "psi(Om(1); w^(K+1))"
@@ -200,8 +273,8 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["check", term])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout.startswith("ok ")
-    # parsing sets the cold limit of cmp and mvec, 327 levels; a parser
-    # that spent one more frame per level would fail near 245
+    # parsing sets the cold limit of cmp, kset and mvec, 327 levels; a
+    # parser that spent one more frame per level would fail near 245
     deep = ["psi(Om(1); " + "w^(" * k + "K+1" + ")" * k + ")"
             for k in (320, 319)]
     proc = _fresh_cli(["cmp"] + deep)
@@ -210,6 +283,9 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["mvec", deep[0]])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout == "[0,0]\n"
+    proc = _fresh_cli(["kset", "0", deep[0]])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "{" + "w^(" * 320 + "K+1" + ")" * 320 + "}\n"
 
 
 def test_too_deep_input_is_a_usage_error():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from piord.errors import ArityError, OrdSyntaxError
 from piord.params import SystemParams
-from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord
+from piord.terms import BIG_K, E_ZERO, ONE, ZERO, Psi, mk_eord
 from piord.syntax import (
     parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
 )
@@ -137,12 +137,12 @@ ERROR_TABLE = [
     (parse_ord, 4, "1001", OrdSyntaxError, "numeral above 1000", 0),
     (parse_ord, 4, "00001001", OrdSyntaxError, "numeral above 1000", 0),
     (parse_ord, 4, "123456789012", OrdSyntaxError, "numeral above 1000", 0),
-    # two quirks: a vector's arity error points at the whitespace before
-    # its "[", and a base-power after "+" starts right after the "+"
+    # blanks before a vector's "[" and after the "+" in front of a
+    # base-power: the report points at the token, not at the blanks
     (parse_seq, 4, "  [0]", ArityError,
-     "coefficient vector has 1 entries, need 2 for N=4", 0),
+     "coefficient vector has 1 entries, need 2 for N=4", 2),
     (parse_ord, 4, "psi(K; [L^(1)*(2)+ L^(0)*(1),0]; 1)", OrdSyntaxError,
-     "zero base-power exponent is not a term", 18),
+     "zero base-power exponent is not a term", 19),
 ]
 
 
@@ -153,6 +153,47 @@ def test_error_reports(parse, n, text, cls, message, pos):
     assert type(exc.value) is cls
     assert str(exc.value) == "%s (at position %d)" % (message, pos)
     assert exc.value.pos == pos
+
+
+# what a mutation puts between two tokens, or in place of one ("" deletes)
+BLANKS = st.text(" \t\n", max_size=2)
+EDITS = st.sampled_from(["phi(", "w^(", "Om(", "psi(", "L^(", ")*(", "0", "1",
+                         "K", "+", ",", ";", "(", ")", "[", "]", ""])
+# operands of generated base-powers; zero ones are errors the parser reports
+ATOMS = st.sampled_from(["0", "1", "2", "K", "psi(K; 0)", "w^(K+1)"])
+BASE_POWERS = st.lists(st.tuples(ATOMS, ATOMS), min_size=1, max_size=3).map(
+    lambda pairs: "+".join("L^(%s)*(%s)" % pair for pair in pairs))
+VECTORS = st.lists(st.one_of(ATOMS, BASE_POWERS), min_size=1, max_size=3).map(
+    lambda entries: "[%s]" % ",".join(entries))
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_error_positions_are_never_blank(data, corpus3, corpus4):
+    # census terms and vectors of both ranks, and generated vectors, with
+    # token edits and blank runs between tokens, parsed at both ranks: every
+    # report points at a token or at the end of the input
+    t = data.draw(st.sampled_from(corpus3.terms + corpus4.terms))
+    texts = [print_ord(t)] + ([print_seq(t.nu)] if isinstance(t, Psi) else [])
+    tokens = TOKEN.findall(data.draw(st.one_of(st.sampled_from(texts),
+                                               VECTORS)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(tokens)))
+        if i < len(tokens) and data.draw(st.booleans()):
+            tokens[i] = data.draw(EDITS)
+        else:
+            tokens.insert(i, data.draw(EDITS))
+    runs = data.draw(st.lists(BLANKS, min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    text = "".join(w + tok for w, tok in zip(runs, tokens)) + runs[-1]
+    for parse in (parse_ord, parse_ord_claims, parse_seq):
+        for params in (P3, P4):
+            try:
+                parse(text, params)
+            except OrdSyntaxError as exc:
+                assert 0 <= exc.pos <= len(text), (text, exc)
+                assert exc.pos == len(text) or not text[exc.pos].isspace(), (
+                    parse.__name__, params.n, text, str(exc))
 
 
 @settings(max_examples=400, deadline=None)
