@@ -1,3 +1,4 @@
+import hashlib
 import io
 import pathlib
 import random
@@ -7,7 +8,10 @@ import pytest
 
 from piord.errors import BudgetExceeded, ComparisonUndecided
 from piord.params import SystemParams
-from piord.terms import BIG_K, ZERO, Psi
+from piord.terms import (
+    BIG_K, E_ZERO, ZERO, Psi, is_principal, mk_eord, mk_lamsum, mk_omega_exp,
+    mk_omega_idx, mk_psi, mk_sum, mk_veblen,
+)
 import piord.order
 import piord.oracle as oracle
 from piord.order import _k_delta, clear_caches, cmp_ord, GT, LT
@@ -17,7 +21,7 @@ from piord.oracle import (
     check_order_axioms, check_structural_props, descent_probe, enumerate_corpus,
     sd_cross_check, witness_terms,
 )
-from piord.syntax import print_ord
+from piord.syntax import print_ord, print_seq
 from piord.cli import main as cli_main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -55,6 +59,92 @@ def test_census_matches_golden():
                         for t in enumerate_corpus(params, cap).terms) + "\n"
         want = (GOLDEN / ("census_n%d_cap%d.txt" % (n, cap))).read_text()
         assert got == want
+
+
+# (N, cap) -> terms, seqs, sha256 of the printed terms, of the printed seqs
+CENSUS_DIGESTS = {
+    (3, 10): (1227, 64,
+              "c7acced0fc54176694439b396378fbd0baeb6e2498d5ea146ea67c9c5cd143dd",
+              "a6ecabedf4d5190381eb18e81d58f615d52d3eee7f72c35e855a52d6b0fdb77f"),
+    (4, 10): (1227, 64,
+              "ed1d1789ef7126545cdcf58e94af193a89dc943947096b9c028f9d7516374a06",
+              "0aa4753dd2ba962b6329160f04a052ac6488c4ec8ce623465cd9cea825d26554"),
+    # the first cap at which a census vector carries a base-power entry
+    (4, 12): (7594, 345,
+              "fd0e16acc708e6cc39f398b6eb4ddc9fc34e0cbac19732347b8a0d276c2c4901",
+              "17ef3c58e241359c90db3aa6c99fc45d7ba129416c4b94acaf52f178110f0070"),
+    (5, 9): (505, 27,
+             "c44dbcb856856c887b3aef97940dfa466cc57f78211e7f65e8349ca26aa20bbb",
+             "fe357d2a2144362b5432330871bf1e637d1bbb999f20b7b647d803e867e4229c"),
+}
+
+
+def _sha256_lines(items, show):
+    return hashlib.sha256("\n".join(map(show, items)).encode()).hexdigest()
+
+
+def test_census_digest():
+    for (n, cap), want in CENSUS_DIGESTS.items():
+        corpus = enumerate_corpus(SystemParams(n), cap)
+        got = (len(corpus.terms), len(corpus.seqs),
+               _sha256_lines(corpus.terms, print_ord),
+               _sha256_lines(corpus.seqs, print_seq))
+        assert got == want, (n, cap)
+
+
+def _raw_terms(n, cap):
+    """Every ordinal term of at most cap symbols the raw constructors build
+    from smaller raw terms, with no side condition: sum parts in any order,
+    every vector of n - 2 exponents (zero entries cost nothing) and
+    base-power pairs in any order."""
+    ords = {1: [ZERO, BIG_K]}
+    exps = {1: [E_ZERO, mk_eord(BIG_K)]}
+    pair_seqs = {1: [], 2: []}       # L^(e)*(c) [+ ...] by size
+
+    def splits(s):
+        return ((i, s - i) for i in range(1, s))
+
+    for s in range(2, cap + 1):
+        out = [mk_sum((p,) + r.parts) for sp, sr in splits(s - 1)
+               for p in ords[sp] if is_principal(p)
+               for r in ords[sr] if r is not ZERO]
+        out += [mk_veblen(b, g) for sb, sg in splits(s - 1)
+                for b in ords[sb] for g in ords[sg]]
+        out += [mk(b) for b in ords[s - 1] for mk in (mk_omega_exp, mk_omega_idx)]
+        vecs = {0: [()]}             # cost -> vectors
+        for _ in range(n - 2):
+            nxt = {}
+            for cost, vs in vecs.items():
+                nxt.setdefault(cost, []).extend(v + (E_ZERO,) for v in vs)
+                for se in range(1, s - 2 - cost):
+                    nxt.setdefault(cost + se, []).extend(
+                        v + (e,) for v in vs for e in exps[se] if e is not E_ZERO)
+            vecs = nxt
+        out += [mk_psi(pi, nu, a) for cost, vs in vecs.items()
+                for sp, sa in splits(s - 1 - cost)
+                for pi in ords[sp] for nu in vs for a in ords[sa]]
+        ords[s] = out
+        seqs = [((e, c),) for se, sc in splits(s - 1)
+                for e in exps[se] for c in ords[sc]]
+        seqs += [((e, c),) + rest for se, sr in splits(s - 1)
+                 for sc, st in splits(sr - 1)
+                 for e in exps[se] for c in ords[sc] for rest in pair_seqs[st]]
+        pair_seqs[s] = seqs
+        exps[s] = [mk_eord(t) for t in out if t is not ZERO] + [
+            mk_lamsum(ps) for ps in seqs if len(ps) > 1 or ps[0][0] is not E_ZERO]
+    return [t for s in sorted(ords) for t in ords[s]]
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_census_is_every_valid_term(params):
+    # no generator pruning: the census must be exactly the raw terms that
+    # validate (15 275 raw terms at N=3 and 18 999 at N=4, 94 valid)
+    try:
+        valid = {t for t in _raw_terms(params.n, 7) if check_ot(t, params).ok}
+    finally:
+        clear_caches()
+    assert valid == set(enumerate_corpus(params, 7).terms)
+    assert len(valid) == 94
 
 
 def test_census_terms_all_validate(corpus4):
