@@ -3,10 +3,18 @@ proposition suites, step-down cross-checks, and descent probes.
 
 Enumeration is a complete census of validated terms up to a symbol-count
 cap, computed size by size; it is deterministic for fixed parameters, so
-its output can be frozen as golden files.  Deep collapse chains (the
-third and fourth psi rules) start above any census cap that keeps the
-corpus small, so the proposition suites also run over a fixed pool of
-builder-made witness terms exercising those rules.
+its output can be frozen as golden files.  A term's size counts one
+symbol per atom or constructor and one per ``+``; zero vector entries
+cost nothing.  Each composite term is built from smaller census terms: a
+sum is a principal head followed by a census term whose parts are at
+most the head; phi, w^ and Om take census arguments; a psi term takes a
+regular census base, a census stage and a vector of exponents.  An
+exponent is zero, a census term, or a base-power sum: L^(e)*(c) with a
+smaller exponent e and a census term c, alone or followed by ``+`` and a
+smaller base-power sum whose head exponent is below e.  Deep collapse
+chains (the third and fourth psi rules) start above any census cap that
+keeps the corpus small, so the proposition suites also run over a fixed
+pool of builder-made witness terms exercising those rules.
 """
 
 import bisect
@@ -17,7 +25,7 @@ from collections import namedtuple
 
 from .terms import (
     BIG_K, E_ZERO, E_ONE, ONE, ZERO,
-    LamSum, OmegaIdx, Psi, Sum,
+    EOrd, LamSum, OmegaIdx, Psi, Sum,
     from_parts, is_principal, is_regular, is_zero_vec, m_at, mk_eord,
     mk_lamsum, mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
     strip_zeros, zero_vec,
@@ -49,7 +57,8 @@ DEFAULT_BUDGET = 60_000
 
 class Corpus(namedtuple("Corpus", "params size_cap terms seqs")):
     """terms: the validated ordinal terms, sorted ascending; seqs: the
-    coefficient vectors encountered, in generation order."""
+    coefficient vectors of its psi terms, in order of first appearance
+    along the ascending terms."""
 
     __slots__ = ()
 
@@ -104,24 +113,14 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
 
 
 def _gen_sums(s, ot_by_size, keep):
-    # weakly decreasing part tuples: pick the head, then parts at most it
-    by_size = {sp: [t for t in ot_by_size[sp] if is_principal(t)]
-               for sp in range(1, s - 1)}
-
-    def rec(acc, rem, bound):
-        sep = 1 if acc else 0
-        for sp in range(1, rem - sep + 1):
-            for p in by_size.get(sp, ()):
-                if bound is not None and cmp_ord(p, bound) == GT:
-                    continue
-                leftover = rem - sep - sp
-                if leftover == 0:
-                    if acc:
-                        keep(mk_sum(acc + [p]), s)
-                elif leftover >= 2:
-                    rec(acc + [p], leftover, p)
-
-    rec([], s, None)
+    # a principal head, then a census term whose parts are at most the head
+    for sp in range(1, s - 1):
+        for p in ot_by_size[sp]:
+            if not is_principal(p):
+                continue
+            for r in ot_by_size[s - 1 - sp]:
+                if r is not ZERO and cmp_ord(r.parts[0], p) != GT:
+                    keep(mk_sum((p,) + r.parts), s)
 
 
 def _gen_veblen(s, ot_by_size, keep):
@@ -144,13 +143,6 @@ def _gen_omega(s, ot_by_size, keep):
             keep(mk_omega_idx(b), s)
 
 
-def _psi_bases(ot_by_size, smax):
-    for sp in range(1, smax + 1):
-        for t in ot_by_size[sp]:
-            if is_regular(t):
-                yield t
-
-
 def _sd_vector_pool(e_by_size, n, budget):
     """Derivable non-zero coefficient vectors, keyed by symbol cost."""
     vecs = [((), 0)]
@@ -171,86 +163,71 @@ def _sd_vector_pool(e_by_size, n, budget):
 
 
 def _gen_psi(s, ot_by_size, e_by_size, params, keep):
-    n = params.n
-    zeros = zero_vec(n)
+    zeros = zero_vec(params.n)
     sd_pool = None
-    for pi in _psi_bases(ot_by_size, s - 2):
-        rest = s - 1 - pi.size  # symbols left for the vector and the stage
-        if rest < 1:
-            continue
-        for a in ot_by_size.get(rest, ()):       # plain collapse, zero vector
-            keep(mk_psi(pi, zeros, a), s)
-        if pi is BIG_K:
-            for sb in range(1, rest):
-                for b in ot_by_size[sb]:
-                    if b is ZERO:
-                        continue
-                    nu = zeros[:-1] + (mk_eord(b),)
-                    for a in ot_by_size.get(rest - sb, ()):
-                        keep(mk_psi(BIG_K, nu, a), s)
-            continue
-        if len(pi.m) >= 2:
-            _gen_psi_step(s, pi, rest, ot_by_size, params, keep)
-        else:
-            if sd_pool is None:
-                sd_pool = _sd_vector_pool(e_by_size, n, s - 3)
-            m2 = m_at(pi, 2)
-            for vcost, vecs in sd_pool.items():
-                for a in ot_by_size.get(rest - vcost, ()):
-                    for nu in vecs:
-                        if vec_sp(nu, m2):
-                            keep(mk_psi(pi, nu, a), s)
+    for sp in range(1, s - 1):
+        rest = s - 1 - sp  # symbols left for the vector and the stage
+        for pi in ot_by_size[sp]:
+            if not is_regular(pi):
+                continue
+            # the base's vectors by symbol cost, each below rest
+            if pi is BIG_K:                 # Psi10: an ordinal last entry
+                vecs = {se: [zeros[:-1] + (e,) for e in e_by_size[se]
+                             if isinstance(e, EOrd)]
+                        for se in range(1, rest)}
+            elif len(pi.m) >= 2:            # Psi11: the stepping rule
+                vecs = _step_vectors(pi, rest, ot_by_size, zeros)
+            else:                           # Psi12: derivable vectors
+                if sd_pool is None:
+                    sd_pool = _sd_vector_pool(e_by_size, params.n, s - 3)
+                m2 = m_at(pi, 2)
+                vecs = {cost: [nu for nu in pool if vec_sp(nu, m2)]
+                        for cost, pool in sd_pool.items() if cost < rest}
+            for cost, nus in {0: [zeros], **vecs}.items():
+                for a in ot_by_size[rest - cost]:
+                    for nu in nus:
+                        keep(mk_psi(pi, nu, a), s)
 
 
-def _gen_psi_step(s, pi, rest, ot_by_size, params, keep):
-    """Candidates for the stepping rule: the vector is determined by the
-    base and one ordinal coefficient."""
+def _step_vectors(pi, rest, ot_by_size, zeros):
+    """The stepping rule's vectors costing less than rest, by cost: each
+    is determined by the base and one ordinal coefficient."""
     prefix, mk_, mj = pi.m[:-2], pi.m[-2], pi.m[-1]
     ps_m = cnf_pairs(mk_)
+    out = {}
     if ps_m and cmp_exp(ps_m[-1][0], mj) != GT:
-        return  # absorption: no coefficient can produce the required shape
+        return out  # absorption: no coefficient can produce the required shape
     for sb in range(1, rest):
         for b in ot_by_size[sb]:
             if b is ZERO:
                 continue
-            entry = mk_lamsum(ps_m + ((mj, b),))
-            nu = prefix + (entry,)
-            nu += zero_vec(params.n)[len(nu):]
-            vcost = sum(e.size for e in nu if e is not E_ZERO)
-            for a in ot_by_size.get(rest - vcost, ()):
-                keep(mk_psi(pi, nu, a), s)
+            nu = prefix + (mk_lamsum(ps_m + ((mj, b),)),)
+            nu += zeros[len(nu):]
+            cost = sum(e.size for e in nu if e is not E_ZERO)
+            if cost < rest:
+                out.setdefault(cost, []).append(nu)
+    return out
 
 
 def _gen_exps(s, ot_by_size, e_by_size):
-    # plain ordinal exponents of this size
-    for t in ot_by_size[s]:
-        if t is not ZERO:
-            e_by_size[s].append(mk_eord(t))
-    # base-power sums: pick pairs left to right, exponents decreasing
-
-    def rec(acc, rem, bound):
-        sep = 1 if acc else 0
-        for se in range(1, rem - sep):
-            for e in e_by_size[se]:
-                if e is E_ZERO:
-                    continue
-                if bound is not None and cmp_exp(e, bound) != LT:
-                    continue
-                avail = rem - sep - 1 - se
-                for sc in range(1, avail + 1):
-                    leftover = avail - sc
-                    if leftover != 0 and leftover < 4:
-                        continue  # no further pair fits exactly
-                    for c in ot_by_size[sc]:
-                        if c is ZERO:
-                            continue
-                        pairs = acc + [(e, c)]
-                        if leftover == 0:
-                            e_by_size[s].append(mk_lamsum(pairs))
-                        else:
-                            rec(pairs, leftover, e)
-
-    rec([], s, None)
+    # each non-zero census term as an exponent, then each base-power sum:
+    # L^(e)*(c) alone, or followed by "+" and a smaller base-power sum
+    # whose head exponent is below e
+    e_by_size[s] += [mk_eord(t) for t in ot_by_size[s] if t is not ZERO]
+    for se in range(1, s - 1):
+        for e in e_by_size[se]:
+            if e is E_ZERO:
+                continue
+            for sc in range(1, s - se):
+                left = s - 1 - se - sc  # symbols after the pair
+                tails = [()] if left == 0 else [
+                    r.pairs for r in e_by_size[left - 1]
+                    if isinstance(r, LamSum)
+                    and cmp_exp(r.pairs[0][0], e) == LT]
+                for c in ot_by_size[sc]:
+                    if c is not ZERO:
+                        e_by_size[s] += [mk_lamsum(((e, c),) + tail)
+                                         for tail in tails]
 
 
 # ---------------------------------------------------------------------------

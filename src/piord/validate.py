@@ -260,8 +260,6 @@ def _check_psi12(t, params):
 
 
 def _kset_repr(ks):
-    if not ks:
-        return "{}"
     return "{" + ", ".join(sorted(repr(g) for g in ks)) + "}"
 
 

@@ -64,18 +64,18 @@ def test_census_matches_golden():
 # (N, cap) -> terms, seqs, sha256 of the printed terms, of the printed seqs
 CENSUS_DIGESTS = {
     (3, 10): (1227, 64,
-              "c7acced0fc54176694439b396378fbd0baeb6e2498d5ea146ea67c9c5cd143dd",
-              "a6ecabedf4d5190381eb18e81d58f615d52d3eee7f72c35e855a52d6b0fdb77f"),
+        "c7acced0fc54176694439b396378fbd0baeb6e2498d5ea146ea67c9c5cd143dd",
+        "a6ecabedf4d5190381eb18e81d58f615d52d3eee7f72c35e855a52d6b0fdb77f"),
     (4, 10): (1227, 64,
-              "ed1d1789ef7126545cdcf58e94af193a89dc943947096b9c028f9d7516374a06",
-              "0aa4753dd2ba962b6329160f04a052ac6488c4ec8ce623465cd9cea825d26554"),
-    # the first cap at which a census vector carries a base-power entry
+        "ed1d1789ef7126545cdcf58e94af193a89dc943947096b9c028f9d7516374a06",
+        "0aa4753dd2ba962b6329160f04a052ac6488c4ec8ce623465cd9cea825d26554"),
+    # two terms whose vector carries a base-power entry (the first at cap 11)
     (4, 12): (7594, 345,
-              "fd0e16acc708e6cc39f398b6eb4ddc9fc34e0cbac19732347b8a0d276c2c4901",
-              "17ef3c58e241359c90db3aa6c99fc45d7ba129416c4b94acaf52f178110f0070"),
+        "fd0e16acc708e6cc39f398b6eb4ddc9fc34e0cbac19732347b8a0d276c2c4901",
+        "17ef3c58e241359c90db3aa6c99fc45d7ba129416c4b94acaf52f178110f0070"),
     (5, 9): (505, 27,
-             "c44dbcb856856c887b3aef97940dfa466cc57f78211e7f65e8349ca26aa20bbb",
-             "fe357d2a2144362b5432330871bf1e637d1bbb999f20b7b647d803e867e4229c"),
+        "c44dbcb856856c887b3aef97940dfa466cc57f78211e7f65e8349ca26aa20bbb",
+        "fe357d2a2144362b5432330871bf1e637d1bbb999f20b7b647d803e867e4229c"),
 }
 
 
@@ -110,7 +110,8 @@ def _raw_terms(n, cap):
                for r in ords[sr] if r is not ZERO]
         out += [mk_veblen(b, g) for sb, sg in splits(s - 1)
                 for b in ords[sb] for g in ords[sg]]
-        out += [mk(b) for b in ords[s - 1] for mk in (mk_omega_exp, mk_omega_idx)]
+        out += [mk(b) for b in ords[s - 1]
+                for mk in (mk_omega_exp, mk_omega_idx)]
         vecs = {0: [()]}             # cost -> vectors
         for _ in range(n - 2):
             nxt = {}
@@ -118,7 +119,8 @@ def _raw_terms(n, cap):
                 nxt.setdefault(cost, []).extend(v + (E_ZERO,) for v in vs)
                 for se in range(1, s - 2 - cost):
                     nxt.setdefault(cost + se, []).extend(
-                        v + (e,) for v in vs for e in exps[se] if e is not E_ZERO)
+                        v + (e,) for v in vs
+                        for e in exps[se] if e is not E_ZERO)
             vecs = nxt
         out += [mk_psi(pi, nu, a) for cost, vs in vecs.items()
                 for sp, sa in splits(s - 1 - cost)
@@ -128,10 +130,12 @@ def _raw_terms(n, cap):
                 for e in exps[se] for c in ords[sc]]
         seqs += [((e, c),) + rest for se, sr in splits(s - 1)
                  for sc, st in splits(sr - 1)
-                 for e in exps[se] for c in ords[sc] for rest in pair_seqs[st]]
+                 for e in exps[se] for c in ords[sc]
+                 for rest in pair_seqs[st]]
         pair_seqs[s] = seqs
         exps[s] = [mk_eord(t) for t in out if t is not ZERO] + [
-            mk_lamsum(ps) for ps in seqs if len(ps) > 1 or ps[0][0] is not E_ZERO]
+            mk_lamsum(ps) for ps in seqs
+            if len(ps) > 1 or ps[0][0] is not E_ZERO]
     return [t for s in sorted(ords) for t in ords[s]]
 
 

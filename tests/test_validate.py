@@ -174,13 +174,13 @@ def _exp(text, params):
 _K_SUB = ("subterm", "invalid subterm phi(K,0)")
 
 # (checker, reader, params, input, rule, first failure): one input for each
-# rejection that a parsed term can reach.  Three are left out because no
+# rejection that a parsed term can reach.  Two are left out because no
 # term reaches them: Psi10's "K(b,a) < a" (with base K, no psi subterm of
-# b or a lies above the term, so the K-set is empty), Psi11's "position"
-# (rule_tag and the arity of the base's vector bound k) and _kset_repr's
-# empty set (a failed kset_below names an element).  A wrong arity and a
-# zero exponent inside a base-power sum cannot be spelled, so
-# test_arity_checked and test_check_exp build those terms instead.
+# b or a lies above the term, so the K-set is empty) and Psi11's
+# "position" (rule_tag and the arity of the base's vector bound k).  A
+# wrong arity and a zero exponent inside a base-power sum cannot be
+# spelled, so test_arity_checked and test_check_exp build those terms
+# instead.
 REJECTIONS = [
     (check_ot, parse_ord, P4, "1+K", "Sum", ("weakly decreasing", "1 < K")),
     (check_ot, parse_ord, P4, "K+phi(K,0)", "Sum", _K_SUB),
