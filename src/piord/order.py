@@ -17,7 +17,7 @@ from .terms import (
 
 __all__ = [
     "LT", "EQ", "GT", "cmp_ord", "cmp_exp", "lt", "le",
-    "k_delta", "k_delta_set", "k_delta_exp", "kset_below",
+    "k_delta", "k_delta_set", "k_delta_exp", "kset_below", "ks_below",
     "rule_tag", "hull_member", "clear_caches", "max_term",
 ]
 
@@ -178,42 +178,19 @@ def _psi_lt(s, t):
     c = cmp_ord(b, a)
     if c == LT:                                                     # clause 2
         if cmp_ord(s, ka) == LT:
-            if _ks_below(t, (pi, b), a) and _ks_below(t, s.nu_comps, a):
+            if ks_below(t, (pi, b), a) and ks_below(t, s.nu_comps, a):
                 return True
     else:                                                           # clause 3
         # guard: with ka <= s any genuine t satisfies t < ka <= s, so a
         # firing could only certify an ill-formed right-hand side
         if cmp_ord(ka, s) == GT:
-            if _ks_reaches(s, (ka, a), b) or _ks_reaches(s, t.nu_comps, b):
+            if not (ks_below(s, (ka, a), b) and ks_below(s, t.nu_comps, b)):
                 return True
         if c == EQ and pi is ka:                                    # clause 4
-            if _ks_below(t, s.nu_comps, a):
+            if ks_below(t, s.nu_comps, a):
                 from .cnf import lx_lt
                 if lx_lt(nu, xi):
                     return True
-    return False
-
-
-# The K-set tests of _psi_lt walk the memoized sets K_delta(x) one at a time
-# and stop at the first decisive element, making the comparisons of
-# kset_below / "some element >= beta" over their union without building it;
-# delta is a psi term here, so it needs no check.
-
-def _ks_below(delta, items, beta):
-    """Every element of K_delta(x), for every x in items, lies below beta."""
-    for x in items:
-        for g in _k_delta(delta, x):
-            if cmp_ord(g, beta) != LT:
-                return False
-    return True
-
-
-def _ks_reaches(delta, items, beta):
-    """Some element of K_delta(x), for some x in items, is >= beta."""
-    for x in items:
-        for g in _k_delta(delta, x):
-            if cmp_ord(beta, g) <= EQ:
-                return True
     return False
 
 
@@ -318,6 +295,18 @@ def kset_below(kset, beta):
     return all(cmp_ord(g, beta) == LT for g in kset)
 
 
+def ks_below(delta, items, beta):
+    """K_delta(X) < beta for X = items, the one way the library decides it:
+    walks the memoized sets K_delta(x) and stops at the first element not
+    below beta, building no union.  delta is not checked."""
+    for x in items:
+        for g in _k_delta(delta, x):
+            if cmp_ord(g, beta) != LT:
+                return False
+    return True
+
+
 def hull_member(gamma, delta, alpha):
     """The notation-level rendering of hull membership: K_delta(alpha) < gamma."""
-    return kset_below(k_delta(delta, alpha), gamma)
+    _check_delta(delta)
+    return ks_below(delta, (alpha,), gamma)

@@ -12,11 +12,14 @@ from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
     collapsing_series, is_regular, is_strongly_critical,
-    k_components, k_components_vec, m_at,
+    k_components_vec, m_at,
 )
+# k_delta and k_delta_exp are not called here (K-set conditions are decided
+# by ks_below), but the benchmark's layer map, perfbench/layers.json, names
+# piord.validate.k_delta and piord.validate.k_delta_exp.
 from .order import (
     GT, LT,
-    cmp_exp, cmp_ord, k_delta, k_delta_exp, k_delta_set, kset_below,
+    cmp_exp, cmp_ord, k_delta, k_delta_exp, k_delta_set, ks_below,
     max_term, memo, rule_tag,
     PSI9, PSI10, PSI11, PSI12,
 )
@@ -194,9 +197,9 @@ def _check_psi(t, params):
 def _check_psi9(t, params):
     if not is_regular(t.pi):
         return _fail(PSI9, "regular base", repr(t.pi))
-    ks = k_delta_set(t, (t.pi, t.a))
-    if not kset_below(ks, t.a):
-        return _fail(PSI9, "K(pi,a) < a", _kset_repr(ks))
+    items = (t.pi, t.a)
+    if not ks_below(t, items, t.a):
+        return _fail(PSI9, "K(pi,a) < a", _kset_repr(k_delta_set(t, items)))
     return ValidationReport(PSI9)
 
 
@@ -204,17 +207,17 @@ def _check_psi10(t, params):
     b = t.nu[-1].a
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI10, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    ks = k_delta_set(t, (b, t.a))
-    if not kset_below(ks, t.a):
-        return _fail(PSI10, "K(b,a) < a", _kset_repr(ks))
+    items = (b, t.a)
+    if not ks_below(t, items, t.a):
+        return _fail(PSI10, "K(b,a) < a", _kset_repr(k_delta_set(t, items)))
     return ValidationReport(PSI10)
 
 
 def _check_psi11(t, params):
     pi = t.pi
-    k = len(pi.m)          # m(pi) ends at position k + 1, the step is at k
-    if not 2 <= k <= params.n - 2:
-        return _fail(PSI11, "position", "k=%d" % k)
+    # m(pi) ends at position k + 1, the step is at k; rule_tag gives k >= 2
+    # and the arity check on pi gives k <= N - 2
+    k = len(pi.m)
     # vector must copy m(pi) strictly below k and vanish strictly above
     for i in params.logical_indices():
         if i < k and t.nu[i - 2] is not pi.m[i - 2]:
@@ -230,11 +233,10 @@ def _check_psi11(t, params):
     b = ps_k[-1][1]
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI11, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    ks = k_delta_set(t, (pi, t.a, b))
-    for g in k_components_vec(pi.m):
-        ks |= k_delta(t, g)
-    if not kset_below(ks, t.a):
-        return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a", _kset_repr(ks))
+    items = (pi, t.a, b, *k_components_vec(pi.m))
+    if not ks_below(t, items, t.a):
+        return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a",
+                     _kset_repr(k_delta_set(t, items)))
     return ValidationReport(PSI11)
 
 
@@ -245,15 +247,15 @@ def _check_psi12(t, params):
     m2 = m_at(pi, 2)
     if not vec_sp(t.nu, m2):
         return _fail(PSI12, "vector sp-below m_2(pi)", repr(m2))
-    ks = k_delta_set(t, (pi, t.a))
-    if not kset_below(ks, t.a):
-        return _fail(PSI12, "K(pi,a) < a", _kset_repr(ks))
+    items = (pi, t.a)
+    if not ks_below(t, items, t.a):
+        return _fail(PSI12, "K(pi,a) < a", _kset_repr(k_delta_set(t, items)))
     # each non-zero entry's components must not all collapse below the stage
     for i, e in enumerate(t.nu, 2):
         if e is E_ZERO:
             continue
-        top = max_term(k_components(e))
-        if not kset_below(k_delta_exp(t, e), top):
+        top = max_term(e.comps)
+        if not ks_below(t, e.comps, top):
             return _fail(PSI12, "K_a(nu_%d) < max K(nu_%d)" % (i, i),
                          repr(top))
     return ValidationReport(PSI12)

@@ -50,12 +50,10 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), "piord.%s.%s" % (info.name, name)
 
 
-def test_every_imported_name_is_used():
-    # a module-level import is used in its module, re-exported in its
-    # __all__, or bound as a call site of the layer map; the package
-    # __init__ is the public surface and imports names only to export them
-    layers, _ = _layer_functions()
-    sites = set(layers["call_sites"])
+def _unused_imports():
+    """The qualified names of the module-level imports of each piord module
+    that the module neither uses nor re-exports in its __all__; the package
+    __init__ is the public surface and imports names only to export them."""
     for info in pkgutil.iter_modules(piord.__path__):
         qualname = "piord." + info.name
         module = importlib.import_module(qualname)
@@ -68,5 +66,24 @@ def test_every_imported_name_is_used():
                 continue
             for alias in node.names:
                 name = (alias.asname or alias.name).partition(".")[0]
-                assert name in kept or "%s.%s" % (qualname, name) in sites, \
-                    "%s imports %s and never uses it" % (qualname, name)
+                if name not in kept:
+                    yield "%s.%s" % (qualname, name)
+
+
+def test_every_imported_name_is_used():
+    # an import that its module does not use is bound as a call site of
+    # the layer map
+    layers, _ = _layer_functions()
+    sites = set(layers["call_sites"])
+    for name in _unused_imports():
+        assert name in sites, "%s is imported and never used" % name
+
+
+def test_map_only_bindings_are_listed():
+    # the imports kept only so that the layer map finds its call sites; a
+    # new one must be added here, and one the code uses again removed
+    assert set(_unused_imports()) == {
+        "piord.arith.mk_sum",
+        "piord.validate.k_delta",
+        "piord.validate.k_delta_exp",
+    }

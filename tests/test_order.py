@@ -162,6 +162,19 @@ def test_hull_member_examples():
     assert hull_member(ONE, BIG_K, pk)
     assert not hull_member(BIG_K, ZERO, pk)
     assert hull_member(add(BIG_K, ONE), ZERO, pk)
+    with pytest.raises(BadDelta):
+        hull_member(BIG_K, ONE, pk)
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_hull_member_matches_the_set_based_test(params):
+    terms = enumerate_corpus(params, 7).terms
+    deltas = [ZERO, BIG_K] + [x for x in terms if isinstance(x, Psi)][:4]
+    for d in deltas:
+        for a in terms:
+            ks = k_delta(d, a)
+            for g in terms:
+                assert hull_member(g, d, a) == kset_below(ks, g), (g, d, a)
 
 
 def test_bound_chain_increasing():

@@ -3,8 +3,8 @@ import pytest
 from piord.errors import NotMahloTerm, ValidationError
 from piord.params import SystemParams
 from piord.terms import (
-    BIG_K, E_ZERO, ONE, ZERO, m_vec, mk_eord, mk_lamsum, mk_omega_idx,
-    mk_psi, mk_sum, mk_veblen,
+    BIG_K, E_ZERO, ONE, ZERO, is_regular, m_vec, mk_eord, mk_lamsum,
+    mk_omega_idx, mk_psi, mk_sum, mk_veblen,
 )
 import piord.validate
 from piord.order import clear_caches, rule_tag
@@ -12,6 +12,7 @@ from piord.validate import (
     ValidationReport, check_ot, check_exp, rule_vs_series,
 )
 from piord.arith import add, from_int, psi0, psiK, psi_sd, psi_step
+from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, parse_seq
 
 P3 = SystemParams(3)
@@ -153,12 +154,14 @@ def test_accepting_formats_no_detail(monkeypatch):
     t12 = psi_sd(t11, (mk_lamsum(((mk_eord(ONE), ONE),)), E_ZERO),
                  from_int(3), P4)
     terms = {"Psi9": t("psi(K; 0)"), "Psi10": t("psi(K; [0,1]; 1)"),
-             "Psi12": t12}
+             "Psi11": t11, "Psi12": t12}
 
-    def boom(ks):
+    def boom(*args):
         raise AssertionError("detail formatted for a passing check")
 
+    # a passing K-set check walks the sets; only a failure builds the union
     monkeypatch.setattr(piord.validate, "_kset_repr", boom)
+    monkeypatch.setattr(piord.validate, "k_delta_set", boom)
     clear_caches()
     for rule, term in terms.items():
         rep = check_ot(term, P4)
@@ -176,8 +179,9 @@ _K_SUB = ("subterm", "invalid subterm phi(K,0)")
 # (checker, reader, params, input, rule, first failure): one input for each
 # rejection that a parsed term can reach.  Two are left out because no
 # term reaches them: Psi10's "K(b,a) < a" (with base K, no psi subterm of
-# b or a lies above the term, so the K-set is empty) and Psi11's
-# "position" (rule_tag and the arity of the base's vector bound k).  A
+# b or a lies above the term, so the K-set is empty).  Psi11 has no
+# position check: rule_tag gives k >= 2, and a validated base has
+# len(m) <= N-2 (test_regular_terms_record_at_most_n_minus_2).  A
 # wrong arity and a zero exponent inside a base-power sum cannot be
 # spelled, so test_arity_checked and test_check_exp build those terms
 # instead.
@@ -240,6 +244,8 @@ REJECTIONS = [
         "K(pi,a) < a", "{K}")),
     (check_ot, parse_ord, P3, "psi(psi(K; [K]; K); [psi(K; [K]; K)]; K+K)",
      "Psi12", ("K_a(nu_2) < max K(nu_2)", "psi(K; [K]; K)")),
+    (check_ot, parse_ord, P4, "psi(Om(1); psi(K; psi(K; K)))", "Psi9", (
+        "K(pi,a) < a", "{K, psi(K; K)}")),
 ]
 
 
@@ -247,6 +253,18 @@ REJECTIONS = [
                          REJECTIONS)
 def test_every_rejection(check, read, params, text, rule, failure):
     assert check(read(text, params), params) == (rule, failure)
+
+
+@pytest.mark.parametrize("params", [P3, P4, P5], ids=["n3", "n4", "n5"])
+def test_regular_terms_record_at_most_n_minus_2(params):
+    # what lets _check_psi11 read k = len(pi.m) without a range check
+    terms = enumerate_corpus(params, 9).terms
+    if params.n <= 4:     # witness_terms raises ValidationError for N >= 5
+        terms += tuple(witness_terms(params))
+    regular = [x for x in terms if is_regular(x)]
+    assert regular
+    for x in regular:
+        assert len(x.m) <= params.n - 2, x
 
 
 def test_rule_vs_series_refuses_an_invalid_term():
