@@ -10,11 +10,12 @@ operands that only the record names.
 import argparse
 import contextlib
 import functools
+import itertools
 import sys
 
 from .params import SystemParams
 from .errors import PiordError
-from .order import EQ, LT, cmp_ord, k_delta
+from .order import EQ, LT, cmp_ord, k_delta, trim_caches
 from .validate import ValidationReport, check_ot
 from .sd import Base, in_sd
 from .arith import theorem_bound
@@ -29,8 +30,15 @@ from .terms import BIG_K, m_vec
 
 __all__ = ["main"]
 
+# main's calls, numbered from 1.  Every 16th call starts at a memo
+# checkpoint: one costs about 2 us, a few percent of a small query, so a
+# long run of calls pays it once per 16.
+_CALLS = itertools.count(1)
+
 
 def main(argv=None, stdout=None, stderr=None):
+    if not next(_CALLS) % 16:
+        trim_caches()
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:

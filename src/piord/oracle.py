@@ -32,6 +32,7 @@ from .terms import (
 )
 from .order import (
     EQ, GT, LT, cmp_exp, cmp_ord, k_delta, k_delta_set, kset_below,
+    trim_caches,
 )
 from .errors import BudgetExceeded, ComparisonUndecided
 from .cnf import he, he_iter, irreducible, lx_lt, seq_lt, te, vec_sp
@@ -100,6 +101,7 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
         _gen_psi(s, ot_by_size, e_by_size, params, keep)
         if s <= e_cap:
             _gen_exps(s, ot_by_size, e_by_size)
+        trim_caches()
 
     terms = [t for s in range(size_cap + 1) for t in ot_by_size[s]]
     terms.sort(key=functools.cmp_to_key(cmp_ord))
@@ -236,7 +238,12 @@ def _gen_exps(s, ot_by_size, e_by_size):
 
 def witness_terms(params):
     """Builder-made psi terms exercising every formation rule, including
-    collapse chains too large for any census cap."""
+    collapse chains too large for any census cap.
+
+    For N >= 4 the chain starts at psi(K; [0,..,0,K]; K) and then, once
+    with each of two vectors, takes N-3 stepping collapses (Psi11) and one
+    step-down collapse (Psi12); each stage is omega to the last one,
+    starting at K+K."""
     n = params.n
     K2 = add(BIG_K, BIG_K)
     out = []
@@ -249,18 +256,16 @@ def witness_terms(params):
                     omega_exp(K2), params)
         out.append(q3)
         return out
-    p2 = psi_step(p1, BIG_K, K2, params)                 # L = 2
-    a3 = omega_exp(K2)
     zeros = zero_vec(n)
-    nu3 = zeros[:-1] + (E_ONE,)
-    p3 = psi_sd(p2, nu3, a3, params)                     # L = 3
-    a4 = omega_exp(a3)
-    p4 = psi_step(p3, BIG_K, a4, params)                 # L = 4
-    a5 = omega_exp(a4)
-    lam1k = mk_lamsum(((E_ONE, ONE),))
-    nu5 = (lam1k,) + zeros[1:]
-    p5 = psi_sd(p4, nu5, a5, params)                     # L = 5
-    out.extend([p2, p3, p4, p5])
+    v1 = zeros[:-1] + (E_ONE,)
+    v2 = zeros[:n - 4] + (mk_lamsum(((E_ONE, ONE),)),) + zeros[n - 3:]
+    a = K2
+    for v in (v1, v2):
+        for _ in range(n - 3):
+            out.append(psi_step(out[-1], BIG_K, a, params))
+            a = omega_exp(a)
+        out.append(psi_sd(out[-1], v, a, params))
+        a = omega_exp(a)
     return out
 
 
@@ -287,17 +292,21 @@ class CheckReport(namedtuple("CheckReport", "name checked failures")):
 def _suite(name, cases, fails):
     """Check every case, an argument tuple for fails (``zip(xs)`` gives
     one-argument cases).  fails(*case) returns None or the case's failure
-    message; a comparison it leaves undecided fails the case too."""
+    message; a comparison it leaves undecided fails the case too.  Cases
+    are drawn 1024 at a time, and each batch ends at a memo checkpoint."""
     checked = 0
     failures = []
-    for case in cases:
-        checked += 1
-        try:
-            msg = fails(*case)
-        except ComparisonUndecided as exc:
-            msg = str(exc)
-        if msg is not None:
-            failures.append(msg)
+    cases = iter(cases)
+    while batch := tuple(itertools.islice(cases, 1024)):
+        checked += len(batch)
+        for case in batch:
+            try:
+                msg = fails(*case)
+            except ComparisonUndecided as exc:
+                msg = str(exc)
+            if msg is not None:
+                failures.append(msg)
+        trim_caches()
     return CheckReport(name, checked, tuple(failures))
 
 
@@ -571,8 +580,10 @@ def _six_cases_lt(s, t):
 
 def sd_cross_check(corpus):
     """Derivability implies the necessary conditions on every vector built
-    from small corpus exponents (at most 5 symbols); vectors passing the
-    conditions without a derivation are reported for review, not failed."""
+    from small corpus exponents (at most 5 symbols) with at most two
+    non-zero entries, so the work grows with N squared (at N <= 4 that is
+    every vector); vectors passing the conditions without a derivation are
+    reported for review, not failed."""
     params = corpus.params
     exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
     unconfirmed = []
@@ -588,9 +599,21 @@ def sd_cross_check(corpus):
         elif replay(d, params.n) != vec:
             return "%s replay mismatch" % (print_seq(vec),)
 
-    return _suite("SD cross-check",
-                  itertools.product(exps, repeat=params.n - 2),
+    return _suite("SD cross-check", _sparse_vectors(exps, params.n - 2, 2),
                   derivable_iff_conditions), unconfirmed
+
+
+def _sparse_vectors(exps, length, nonzero):
+    """The vectors of ``itertools.product(exps, repeat=length)`` with at
+    most nonzero entries other than E_ZERO, in the same order."""
+    if not length:
+        yield ()
+        return
+    for x in exps:
+        left = nonzero - (x is not E_ZERO)
+        if left >= 0:
+            for rest in _sparse_vectors(exps, length - 1, left):
+                yield (x,) + rest
 
 
 # ---------------------------------------------------------------------------

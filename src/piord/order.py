@@ -3,7 +3,8 @@
 Comparison of psi terms follows the four-clause recursion of the notation
 system's computability lemma and is mutually recursive with the component
 sets K_delta; both directions are memoized on interned nodes.  Every memo
-table in the package is made by ``memo`` and emptied by ``clear_caches``.
+table in the package is made by ``memo``, emptied by ``clear_caches`` and
+held to ``MEMO_BOUND`` entries at the checkpoints that call ``trim_caches``.
 """
 
 import functools
@@ -18,16 +19,27 @@ from .terms import (
 __all__ = [
     "LT", "EQ", "GT", "cmp_ord", "cmp_exp", "lt", "le",
     "k_delta", "k_delta_set", "k_delta_exp", "kset_below", "ks_below",
-    "rule_tag", "hull_member", "clear_caches", "max_term",
+    "rule_tag", "hull_member", "clear_caches", "trim_caches", "MEMO_BOUND",
+    "max_term",
 ]
 
 LT, EQ, GT = -1, 0, 1
 
 _MEMOS = []
 
+# Entries a memo table may hold right after a checkpoint (a call of
+# trim_caches: every 1024 oracle cases, every census size step, every
+# 16th cli.main call).  The bound is soft: a table may pass it between
+# two checkpoints.  A smaller bound holds less and recomputes more: with
+# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 37 MB
+# instead of 59 MB and takes 2% longer; half of it gives 29 MB and 5%
+# (2 vCPUs, Python 3.11.7; BENCH_memo_bound.json).
+MEMO_BOUND = 65536
+
 
 def memo(fn):
-    """Memoize fn on its arguments in an unbounded per-process table."""
+    """Memoize fn on its arguments in a per-process table, which each
+    checkpoint empties when it holds more than MEMO_BOUND entries."""
     cached = functools.cache(fn)
     _MEMOS.append(cached)
     return cached
@@ -37,6 +49,15 @@ def clear_caches():
     """Empty every memo table; interned terms are never released."""
     for cached in _MEMOS:
         cached.cache_clear()
+
+
+def trim_caches():
+    """Checkpoint: empty each memo table holding more than MEMO_BOUND
+    entries, so that afterwards none holds more.  Results never depend on
+    what a table holds, and interned terms are never released."""
+    for cached in _MEMOS:
+        if cached.cache_info().currsize > MEMO_BOUND:
+            cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ class LamSum(Exp):
 
 # Each constructor is cached on its positional arguments, so the same shape
 # always yields the same object.  These caches are not registered with
-# order.memo: interned identity must outlive order.clear_caches().
+# order.memo: interned identity must outlive order.clear_caches() and
+# order.trim_caches(), so they are the one unbounded table, by design.
 
 def _new(cls):
     return object.__new__(cls)

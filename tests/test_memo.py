@@ -1,12 +1,18 @@
-"""The single memo mechanism: what clear_caches() empties and keeps."""
+"""The single memo mechanism: what clear_caches() empties and keeps, what
+the trim_caches() checkpoints bound, and that no output depends on either.
+The seven mk_* intern caches are the one unbounded table, by design."""
 
 import io
 import itertools
+import sys
 
 import pytest
 
+import piord.oracle as oracle
+import piord.order as order
+import piord.terms as terms
 from piord.cli import main
-from piord.order import _MEMOS, _cmp_ord, _k_delta, clear_caches
+from piord.order import _MEMOS, _cmp_ord, _k_delta, clear_caches, trim_caches
 from piord.params import SystemParams
 from piord.terms import Psi
 from piord.oracle import (
@@ -74,3 +80,81 @@ def test_results_do_not_depend_on_cache_state(n):
     finally:
         clear_caches()
     assert ascending == descending == warm
+
+
+def _props(n):
+    out = io.StringIO()
+    code = main(["--big-n", str(n), "props", "--size-cap", "7"], out,
+                io.StringIO())
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_props_do_not_depend_on_the_memo(monkeypatch, n):
+    # the same report with the tables as they are, with no memo at all,
+    # and with a bound so small that every checkpoint empties them
+    clear_caches()
+    default = _props(n)
+    clear_caches()
+    memos = {id(m) for m in _MEMOS}
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name == "piord" or name.startswith("piord."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in memos:
+                        m.setattr(module, attr, value.__wrapped__)
+        unmemoized = _props(n)
+    # no binding was missed: not one entry was stored
+    assert all(m.cache_info().currsize == 0 for m in _MEMOS)
+    monkeypatch.setattr(order, "MEMO_BOUND", 16)
+    trimmed = _props(n)
+    clear_caches()
+    assert default[0] == 0
+    assert default == unmemoized == trimmed
+
+
+def test_trim_bounds_every_table_and_keeps_the_small_ones(monkeypatch, p4):
+    clear_caches()
+    enumerate_corpus(p4, 8)
+    before = [m.cache_info().currsize for m in _MEMOS]
+    bound = sorted(before)[len(before) // 2]
+    monkeypatch.setattr(order, "MEMO_BOUND", bound)
+    try:
+        trim_caches()
+        after = [m.cache_info().currsize for m in _MEMOS]
+    finally:
+        clear_caches()
+    assert max(before) > bound
+    assert max(after) <= bound
+    # a table above the bound is emptied, one within it keeps its entries
+    assert after == [0 if size > bound else size for size in before]
+
+
+def test_every_checkpoint_is_reached(monkeypatch, p4):
+    calls = []
+    monkeypatch.setattr(oracle, "trim_caches", lambda: calls.append(1))
+    corpus = enumerate_corpus(p4, 7)
+    assert len(calls) == 7 - 1            # once per size step from 2 to 7
+    pairs = len(corpus.terms) * (len(corpus.terms) - 1) // 2
+    assert pairs > 1024
+    calls.clear()
+    check_order_axioms(corpus, triple_sample=0)
+    assert len(calls) == -(-pairs // 1024)    # after each 1024 cases
+    monkeypatch.setattr("piord.cli.trim_caches", lambda: calls.append(1))
+    calls.clear()
+    for _ in range(32):
+        main(["cmp", "0", "1"], io.StringIO())
+    assert len(calls) == 2                # once every 16 calls
+
+
+def test_intern_caches_stay_unbounded(monkeypatch, p4):
+    interns = [f for f in vars(terms).values() if hasattr(f, "cache_info")]
+    assert len(interns) == 7
+    assert all(f.cache_info().maxsize is None for f in interns)
+    assert not {id(f) for f in interns} & {id(m) for m in _MEMOS}
+    enumerate_corpus(p4, 7)
+    sizes = [f.cache_info().currsize for f in interns]
+    monkeypatch.setattr(order, "MEMO_BOUND", 0)
+    trim_caches()
+    assert all(m.cache_info().currsize == 0 for m in _MEMOS)
+    assert [f.cache_info().currsize for f in interns] == sizes

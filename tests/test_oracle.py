@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import pathlib
 import random
 import types
@@ -239,8 +240,37 @@ def test_sd_cross_check_small(corpus4):
 def test_witnesses_cover_deep_rules(p3, p4):
     rules3 = {check_ot(w, p3).rule for w in witness_terms(p3)}
     assert {"Psi10", "Psi12"} <= rules3
-    rules4 = {check_ot(w, p4).rule for w in witness_terms(p4)}
-    assert {"Psi10", "Psi11", "Psi12"} <= rules4
+    for params in [p4] + [SystemParams(n) for n in (5, 6, 7, 8)]:
+        # one Psi10 start, then twice N-3 Psi11 steps and one Psi12 term
+        rules = [check_ot(w, params).rule for w in witness_terms(params)]
+        steps = ["Psi11"] * (params.n - 3) + ["Psi12"]
+        assert rules == ["Psi10"] + steps + steps, params.n
+
+
+@pytest.mark.parametrize("n, vectors", [(5, 1261), (6, 2481), (7, 4101),
+                                        (8, 6121)])
+def test_props_pass_above_rank_4(n, vectors):
+    out = io.StringIO()
+    argv = ["--big-n", str(n), "props", "--size-cap", "7"]
+    assert cli_main(argv, out, io.StringIO()) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 15
+    assert all(" PASS  (" in x for x in lines[:-1]), lines
+    # the SD cross-check tries the vectors with at most two non-zero
+    # entries, 1 + (N-2)*20 + C(N-2,2)*400 over its 21 exponents
+    assert lines[-2] == "SD cross-check               PASS  (%d checked)" \
+        % vectors
+
+
+def test_sd_cross_check_vectors_keep_the_product_order(corpus4):
+    exps = oracle._exp_pool(corpus4)[:6]
+    assert exps[0] is E_ZERO
+    for length in range(6):
+        sparse = [v for v in itertools.product(exps, repeat=length)
+                  if sum(e is not E_ZERO for e in v) <= 2]
+        assert list(oracle._sparse_vectors(exps, length, 2)) == sparse
+        if length <= 2:
+            assert len(sparse) == len(exps) ** length
 
 
 def test_descent_probe(corpus4):

@@ -258,9 +258,7 @@ def test_every_rejection(check, read, params, text, rule, failure):
 @pytest.mark.parametrize("params", [P3, P4, P5], ids=["n3", "n4", "n5"])
 def test_regular_terms_record_at_most_n_minus_2(params):
     # what lets _check_psi11 read k = len(pi.m) without a range check
-    terms = enumerate_corpus(params, 9).terms
-    if params.n <= 4:     # witness_terms raises ValidationError for N >= 5
-        terms += tuple(witness_terms(params))
+    terms = enumerate_corpus(params, 9).terms + tuple(witness_terms(params))
     regular = [x for x in terms if is_regular(x)]
     assert regular
     for x in regular:
