@@ -1,17 +1,19 @@
 """Command-line surface: parse, validate, compare, enumerate, verify.
 
-The argument parser is built once, at import.  Each subcommand carries its
-handler, ``run(args, params, emit) -> exit code``; ``emit(record, text)``
-writes one text line, or under ``--format json-lines`` the record that the
-zero-argument function ``record`` builds, so text output never prints the
-operands that only the record names.
+One constant table, ``_COMMANDS``, names each command's handler, summary,
+operands and options; ``_parse`` reads argv from it, and ``_help`` writes
+the --help text from it.  A handler is ``run(args, params, emit) -> exit
+code``; ``emit(record, text)`` writes one text line, or under ``--format
+json-lines`` the record that the zero-argument function ``record`` builds,
+so text output never prints the operands that only the record names.
 """
 
-import argparse
-import contextlib
 import functools
 import itertools
+import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .params import SystemParams
 from .errors import PiordError
@@ -42,11 +44,10 @@ def main(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        with contextlib.redirect_stdout(stdout):
-            args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv, stdout)
+        if args is None:                # --help has printed its text
+            return 0
         params = SystemParams(args.big_n)
-    except SystemExit:                  # --help has printed its text
-        return 0
     except (ValueError, PiordError) as exc:
         stderr.write("error: %s\n" % (exc,))
         return 2
@@ -149,8 +150,12 @@ def _enumerate(args, params, emit):
         terms = [t for t in terms if cmp_ord(t, bound) == LT]
     lines = [print_ord(t) for t in terms]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+        except OSError as exc:
+            raise PiordError("cannot write %s: %s"
+                             % (args.out, exc.strerror)) from None
     else:
         for i, line in enumerate(lines):
             emit(lambda: {"kind": "term", "index": i, "term": line}, line)
@@ -193,68 +198,158 @@ def _bound(args, params, emit):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises a usage error, for main to write as one ``error:`` line,
-    instead of printing the usage line and exiting; subparsers inherit it."""
-
-    def error(self, message):
-        raise PiordError(message)
-
-
-def _build_parser():
-    p = _Parser(
-        prog="piord",
-        description="Ordinal notation system for first-order reflection.")
-    p.add_argument("--big-n", type=int, default=4, metavar="N",
-                   help="reflection rank N >= 3 (default 4)")
-    p.add_argument("--format", choices=("text", "json-lines"),
-                   default="text", help="output format")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def count(text):
-        n = int(text)
-        if n < 0:
-            raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
-        return n
-
-    def command(name, run, summary, *operands):
-        c = sub.add_parser(name, help=summary)
-        c.set_defaults(run=run)
-        for operand in operands:
-            c.add_argument(operand)
-        return c
-
-    command("check", _check, "validate a term", "term")
-    command("cmp", _cmp, "compare two terms", "left", "right")
-    command("kset", _kset, "component set K_delta(term)", "delta", "term")
-    command("mvec", _mvec, "recorded coefficient vector", "term")
-    command("sd", _sd, "derivation search for a coefficient vector", "seq")
-
-    c = command("enumerate", _enumerate, "census of small validated terms")
-    c.add_argument("--size-cap", type=count, default=None)
-    c.add_argument("--below", default=None, metavar="TERM")
-    c.add_argument("--out", default=None, metavar="FILE")
-
-    c = command("props", _props, "run the oracle suites")
-    c.add_argument("--size-cap", type=count, default=None)
-    c.add_argument("--triples", type=count, default=20_000)
-    c.add_argument("--seed", type=int, default=0)
-
-    c = command("descend", _descend, "seeded descending-chain probe", "term")
-    c.add_argument("--steps", type=count, default=1000)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--size-cap", type=count, default=None)
-
-    c = command("bound", _bound, "proof-theoretic bound term")
-    c.add_argument("--n", type=int, required=True)
-    return p
+def _count(text):
+    n = int(text)
+    if n < 0:
+        raise ValueError("must be at least 0, got %d" % n)
+    return n
 
 
-_PARSER = _build_parser()
+def _format(text):
+    if text not in ("text", "json-lines"):
+        raise ValueError("must be text or json-lines, got %r" % text)
+    return text
+
+
+# A command: its handler, a one-line summary, its operands in order, and
+# its options by flag.  An option: the function that converts its value
+# (a ValueError is a usage error), its default, and whether it is
+# required; a required option has no default.
+Command = namedtuple("Command", "run summary operands options")
+Option = namedtuple("Option", "type default required")
+
+# The global options, which come before the command; the command is the
+# first operand.
+_TOP = Command(None, "Ordinal notation system for first-order reflection; "
+               "BIG_N is the reflection rank N >= 3, FORMAT is text or "
+               "json-lines.", ("command",), {
+                   "--big-n": Option(int, 4, False),
+                   "--format": Option(_format, "text", False)})
+_SIZE_CAP = Option(_count, None, False)
+_SEED = Option(int, 0, False)
+_COMMANDS = {
+    "check": Command(_check, "validate a term", ("term",), {}),
+    "cmp": Command(_cmp, "compare two terms", ("left", "right"), {}),
+    "kset": Command(_kset, "component set K_delta(term)", ("delta", "term"),
+                    {}),
+    "mvec": Command(_mvec, "recorded coefficient vector", ("term",), {}),
+    "sd": Command(_sd, "derivation search for a coefficient vector",
+                  ("seq",), {}),
+    "enumerate": Command(_enumerate, "census of small validated terms", (), {
+        "--size-cap": _SIZE_CAP, "--below": Option(str, None, False),
+        "--out": Option(str, None, False)}),
+    "props": Command(_props, "run the oracle suites", (), {
+        "--size-cap": _SIZE_CAP, "--triples": Option(_count, 20_000, False),
+        "--seed": _SEED}),
+    "descend": Command(_descend, "seeded descending-chain probe", ("term",), {
+        "--steps": Option(_count, 1000, False), "--seed": _SEED,
+        "--size-cap": _SIZE_CAP}),
+    "bound": Command(_bound, "proof-theoretic bound term", (),
+                     {"--n": Option(int, None, True)}),
+}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _is_option(arg):
+    """Whether arg is an option rather than a value: it starts with '-',
+    and it is not '-', a negative number, or a text with a blank and no
+    '=' (``--below=K + 1`` is an option)."""
+    if arg[:1] != "-" or arg == "-" or (" " in arg and "=" not in arg):
+        return False
+    whole, dot, frac = arg[1:].partition(".")
+    if dot:
+        return not (frac.isdecimal() and (whole == "" or whole.isdecimal()))
+    return not whole.isdecimal()
+
+
+def _parse(argv, stdout):
+    """argv as one namespace: the value of every global option, operand
+    and option of the command, by name, and the command's handler as
+    ``run``.  For -h or --help, write the help text to stdout and return
+    None.  A usage error raises PiordError."""
+    name, command, operands = None, _TOP, []
+    values = {_dest(flag): option.default
+              for flag, option in _TOP.options.items()}
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if not _is_option(arg):
+            if name is not None:
+                operands.append(arg)
+                continue
+            if arg not in _COMMANDS:
+                raise PiordError("unknown command %r, expected one of %s"
+                                 % (arg, ", ".join(_COMMANDS)))
+            name, command = arg, _COMMANDS[arg]
+            values.update((_dest(flag), option.default)
+                          for flag, option in command.options.items()
+                          if not option.required)
+            continue
+        if arg == "-h" or arg == "--help":
+            stdout.write(_help(name, command))
+            return None
+        flag, eq, value = arg.partition("=")
+        option = command.options.get(flag)
+        if option is None:
+            raise PiordError("unrecognized option %s%s" % (
+                flag, "" if name is None else " for " + name))
+        if not eq:
+            if i == len(argv) or _is_option(argv[i]):
+                raise PiordError("option %s expects a value" % flag)
+            value = argv[i]
+            i += 1
+        try:
+            values[_dest(flag)] = option.type(value)
+        except ValueError as exc:
+            raise PiordError("option %s: %s" % (flag, exc)) from None
+    if name is None:
+        raise PiordError("a command is required, one of %s"
+                         % ", ".join(_COMMANDS))
+    if len(operands) != len(command.operands):
+        raise PiordError("%s expects %d operand(s), %s, got %d" % (
+            name, len(command.operands), " ".join(command.operands).upper(),
+            len(operands)))
+    for flag, option in command.options.items():
+        if option.required and _dest(flag) not in values:
+            raise PiordError("%s requires option %s" % (name, flag))
+    values.update(zip(command.operands, operands))
+    return SimpleNamespace(run=command.run, **values)
+
+
+def _help(name, command):
+    """The --help text of one command, or of piord when name is None."""
+    words = ["usage: piord"] + ([name] if name else [])
+    for flag, option in command.options.items():
+        word = "%s %s" % (flag, _dest(flag).upper())
+        words.append(word if option.required else "[%s]" % word)
+    words += [operand.upper() for operand in command.operands]
+    lines = [" ".join(words) + (" ..." if name is None else ""), "",
+             command.summary]
+    if name is None:
+        lines += ["", "commands:"] + ["  %-10s %s" % (n, c.summary)
+                                      for n, c in _COMMANDS.items()]
+    defaults = ["%s %s" % (flag, option.default)
+                for flag, option in command.options.items()
+                if option.default is not None]
+    if defaults:
+        lines += ["", "defaults: " + ", ".join(defaults)]
+    return "\n".join(lines) + "\n"
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python's recipe for a reader that closed the pipe: the rest of
+        # the output goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
+import argparse
+import importlib.util
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -8,8 +11,13 @@ import pytest
 from piord import cli
 from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
-from piord.syntax import MAX_NUMERAL, parse_ord
+from piord.errors import PiordError
+from piord.oracle import enumerate_corpus
+from piord.params import SystemParams
+from piord.syntax import MAX_NUMERAL, parse_ord, print_ord
 from piord.terms import BIG_K, ONE, ZERO, m_vec
+
+PLAN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plan.py"
 
 
 def run(argv):
@@ -66,16 +74,158 @@ def test_usage_errors_exit_2():
     assert code == 0 and out.startswith("usage: piord")
 
 
+# argv that the parser itself rejects
+PARSER_USAGE_ERRORS = [
+    ["cmp", "K"], ["--bogus", "cmp", "0", "1"], ["nosuch"],
+    ["--format", "xml", "cmp", "0", "1"], ["props", "--triples", "-1"],
+    ["props", "--size-cap", "6", "--triples", "-1"],
+    ["descend", "1", "--steps", "-5", "--size-cap", "5"],
+    ["enumerate", "--size-cap", "-1"], [], ["cmp", "0", "1", "2"],
+    ["bound"], ["bound", "--n"], ["bound", "--n", "x"], ["--big-n", "x"],
+    ["cmp", "0", "1", "--big-n", "3"], ["enumerate", "--below", "--out", "x"],
+    ["props", "--seed=1.5"], ["check", "-x"], ["--help=1"],
+]
+
+
 def test_parser_usage_errors_print_one_line():
-    for argv in (["cmp", "K"], ["--bogus", "cmp", "0", "1"], ["nosuch"],
-                 ["--format", "xml", "cmp", "0", "1"],
-                 ["props", "--triples", "-1"]):
+    for argv in PARSER_USAGE_ERRORS:
         code, out, err = run(argv)
         assert code == 2 and out == "", argv
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
     code, out, err = run(["cmp", "--help"])
     assert code == 0 and out.startswith("usage: piord cmp") and err == ""
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise PiordError(message)
+
+
+def _reference_parser():
+    """The argparse parser that the command table replaced, kept as the
+    reference for the values the table parser produces."""
+    p = _ReferenceParser(prog="piord")
+    p.add_argument("--big-n", type=int, default=4, metavar="N")
+    p.add_argument("--format", choices=("text", "json-lines"),
+                   default="text")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def count(text):
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
+        return n
+
+    def command(name, run, *operands):
+        c = sub.add_parser(name)
+        c.set_defaults(run=run)
+        for operand in operands:
+            c.add_argument(operand)
+        return c
+
+    command("check", cli._check, "term")
+    command("cmp", cli._cmp, "left", "right")
+    command("kset", cli._kset, "delta", "term")
+    command("mvec", cli._mvec, "term")
+    command("sd", cli._sd, "seq")
+    c = command("enumerate", cli._enumerate)
+    c.add_argument("--size-cap", type=count, default=None)
+    c.add_argument("--below", default=None, metavar="TERM")
+    c.add_argument("--out", default=None, metavar="FILE")
+    c = command("props", cli._props)
+    c.add_argument("--size-cap", type=count, default=None)
+    c.add_argument("--triples", type=count, default=20_000)
+    c.add_argument("--seed", type=int, default=0)
+    c = command("descend", cli._descend, "term")
+    c.add_argument("--steps", type=count, default=1000)
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--size-cap", type=count, default=None)
+    c = command("bound", cli._bound)
+    c.add_argument("--n", type=int, required=True)
+    return p
+
+
+def _both_forms(argv):
+    """argv, and argv with every ``--opt value`` written ``--opt=value``."""
+    joined, i = [], 0
+    while i < len(argv):
+        if argv[i].startswith("--") and i + 1 < len(argv):
+            joined.append(argv[i] + "=" + argv[i + 1])
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    return [argv, joined]
+
+
+# every command, with its options before, between and after its operands
+TABLE_ARGVS = [
+    ["check", "psi(K; [0,1]; 1)"], ["cmp", "0", "K"], ["kset", "0", "K"],
+    ["mvec", "-1"], ["sd", "[1,1]"], ["enumerate"],
+    ["enumerate", "--size-cap", "3", "--below", "K", "--out", "f"],
+    ["enumerate", "--out", "-", "--size-cap", "0", "--out", "g"],
+    ["props", "--triples", "5", "--seed", "-7", "--size-cap", "4"],
+    ["props"], ["descend", "--steps", "5", "K", "--seed", "2"],
+    ["descend", "K", "--size-cap", "4", "--steps", "0"],
+    ["descend", "--seed", "-1", "--size-cap", "3", "psi(K; K)"],
+    ["bound", "--n", "-3"], ["bound", "--n", "7"],
+    ["--big-n", "3", "cmp", "1", "K"], ["--format", "json-lines", "sd", "[1]"],
+    ["--format", "text", "--big-n", "5", "--format", "json-lines", "props",
+     "--seed", " 3"],
+    ["--big-n", "99", "bound", "--n", "1"], ["check", ""],
+    ["check", "-1 + K"], ["props", "--seed", "-1 "],
+    ["enumerate", "--below", "K + 1"], ["kset", "-.5", "-2.25"],
+]
+
+
+def _plan():
+    spec = importlib.util.spec_from_file_location("plan", PLAN)
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return plan
+
+
+def test_table_parser_matches_argparse():
+    ref = _reference_parser()
+    plan = _plan()
+    census = [print_ord(t)
+              for t in enumerate_corpus(SystemParams(4), plan.CENSUS_CAP).terms]
+    ops = plan.operations(101, census)
+    argvs = [op["argv"] for op, _ in zip(ops, range(3000))]
+    for argv in TABLE_ARGVS:
+        argvs += _both_forms(argv)
+    for argv in argvs:
+        want = vars(ref.parse_args(argv))
+        del want["command"]
+        assert vars(cli._parse(argv, None)) == want, argv
+    for argv in PARSER_USAGE_ERRORS:
+        with pytest.raises(PiordError):
+            cli._parse(argv, None)
+        with pytest.raises(PiordError):
+            ref.parse_args(argv)
+
+
+def test_table_parser_takes_no_abbreviation():
+    ref = _reference_parser()
+    for argv in (["props", "--size", "6"], ["--big", "3", "cmp", "0", "1"],
+                 ["--form", "json-lines", "cmp", "0", "1"]):
+        ref.parse_args(argv)
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_help_of_every_command():
+    for name, command in cli._COMMANDS.items():
+        code, out, err = run([name, "--help"])
+        assert code == 0 and err == "", name
+        assert out.startswith("usage: piord %s" % name), out
+        for flag in command.options:
+            assert flag in out, (name, flag)
+    code, out, err = run(["-h"])
+    assert code == 0 and out.startswith("usage: piord ") and err == ""
+    for name in cli._COMMANDS:
+        assert name in out
 
 
 def test_numbers_past_their_limit_are_usage_errors():
@@ -246,7 +396,8 @@ def test_text_commands_import_no_dataclasses_inspect_or_json():
     # measured against the bare interpreter, whose site start-up is not ours
     code = ("import io, sys; before = set(sys.modules); import piord.cli; "
             "piord.cli.main(['cmp', '0', '1'], io.StringIO()); "
-            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect', "
+            "'json', 'locale'} "
             "& (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
@@ -261,6 +412,28 @@ def test_text_commands_import_no_dataclasses_inspect_or_json():
 def _fresh_cli(argv):
     return subprocess.run([sys.executable, "-m", "piord.cli"] + argv,
                           capture_output=True, text=True)
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        proc = _fresh_cli(["enumerate", "--size-cap", "3", "--out", str(out)])
+        assert proc.returncode == 2 and proc.stdout == "", out
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the census at cap 11 prints 83 kB, more than the pipe and one read
+    # hold, so the writer still has output when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "piord.cli", "enumerate", "--size-cap", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_depth_230_in_fresh_process():

@@ -188,6 +188,20 @@ def test_structural_props_small(corpus3, corpus4):
             assert rep.ok, rep.line()
 
 
+def test_six_cases_agree_on_every_psi_pair_at_cap_9(corpus3, corpus4):
+    # the suite "psi comparison cases" checks the 80 smallest psi terms
+    # only; here every ordered pair of the cap-9 census plus the witnesses
+    # (the first witness, psi(K; [..,K]; K), is a census term too)
+    for c, pairs in ((corpus3, 27_722), (corpus4, 28_392)):
+        psis = [t for t in dict.fromkeys(c.terms + tuple(
+            witness_terms(c.params))) if isinstance(t, Psi)]
+        assert len(psis) * (len(psis) - 1) == pairs
+        bad = [(print_ord(s), print_ord(t)) for s in psis for t in psis
+               if s is not t
+               and oracle._six_cases_lt(s, t) != (cmp_ord(s, t) == LT)]
+        assert bad == []
+
+
 @pytest.mark.parametrize("name, binding, fault", FAULTS,
                          ids=[f[0] for f in FAULTS])
 def test_every_suite_can_fail(monkeypatch, corpus3, name, binding, fault):
