@@ -332,16 +332,22 @@ def drop_tail(x):
 # ---------------------------------------------------------------------------
 
 def _tail_violation(vec):
-    """First (i, k) with a tail below the required tower, or None."""
+    """First (i, k) whose tail Tl(vec[i]) lies below the k-fold tower
+    L^(...L^(vec[i+k]+1)...), or None.
+
+    The tail lies below that tower exactly when its k-th head exponent is
+    at most vec[i+k], or is undefined because the head walk reached zero
+    sooner.  Zero is at most every entry, so the walk reports at the
+    first zero it meets, and no tower is built."""
     n = len(vec)
     for i in range(n):
         if vec[i] is E_ZERO:
             continue
-        t = tl(vec[i])
+        h = te(vec[i])  # the head exponent of the tail
         for k in range(1, n - i):
-            tower = lam_tower(exp_succ(vec[i + k]), k)
-            if cmp_exp(t, tower) == LT:
+            if cmp_exp(h, vec[i + k]) != GT:
                 return i, k
+            h = he(h)
     return None
 
 

@@ -146,20 +146,27 @@ def _gen_omega(s, ot_by_size, keep):
 
 
 def _sd_vector_pool(e_by_size, n, budget):
-    """Derivable non-zero coefficient vectors, keyed by symbol cost."""
+    """Derivable non-zero coefficient vectors, keyed by symbol cost.
+
+    A vector grows one entry at a time, and a non-zero entry is kept only
+    while the vector so far, padded with zeros, is derivable: each padded
+    prefix of a derivable vector is derivable, since the extension step
+    that builds the vector applies to the prefixes of its premises."""
+    zeros = zero_vec(n)
     vecs = [((), 0)]
-    for _ in range(n - 2):
+    for j in range(1, n - 1):
         nxt = []
         for vec, used in vecs:
             nxt.append((vec + (E_ZERO,), used))
             for se in range(1, budget - used + 1):
                 for e in e_by_size.get(se, ()):
-                    if e is not E_ZERO:
+                    if e is not E_ZERO \
+                            and in_sd(vec + (e,) + zeros[j:]) is not None:
                         nxt.append((vec + (e,), used + se))
         vecs = nxt
     out = {}
     for vec, used in vecs:
-        if used and in_sd(vec) is not None:
+        if used:
             out.setdefault(used, []).append(vec)
     return out
 

@@ -1,6 +1,7 @@
 import pytest
 
 from piord.params import SystemParams
+import piord.oracle as oracle
 from piord.oracle import enumerate_corpus
 
 
@@ -22,3 +23,23 @@ def corpus3(p3):
 @pytest.fixture(scope="session")
 def corpus4(p4):
     return enumerate_corpus(p4, 9)
+
+
+@pytest.fixture
+def census_exponents(monkeypatch):
+    """Run enumerate_corpus(params, cap) and return the census with the
+    exponents by symbol count that its psi generator draws vectors from."""
+    def run(params, cap):
+        tables = []
+        pool = oracle._sd_vector_pool
+
+        def spy(e_by_size, n, budget):
+            tables.append(e_by_size)
+            return pool(e_by_size, n, budget)
+
+        monkeypatch.setattr(oracle, "_sd_vector_pool", spy)
+        corpus = oracle.enumerate_corpus(params, cap)
+        monkeypatch.setattr(oracle, "_sd_vector_pool", pool)
+        return corpus, tables[0]
+
+    return run

@@ -470,6 +470,23 @@ def test_too_deep_input_is_a_usage_error():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_props_at_rank_68_in_fresh_process():
+    # 66-entry vectors: irreducibility compares tails with towers of up to
+    # 65 levels, more than lam_tower builds, by walking head exponents
+    proc = _fresh_cli(["--big-n", "68", "props", "--size-cap", "3"])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 15
+    assert all(" PASS  (" in x for x in lines[:-1]), lines
+    assert lines[-1].startswith("sd-unconfirmed 0 ")
+    # at N=100 the witness chain nests 197 psi terms, deeper than the
+    # recursion limit of a cold process allows
+    proc = _fresh_cli(["--big-n", "100", "props", "--size-cap", "3"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_explicit_zero_vector_claim_fails():
     # spelling with an explicit zero vector claims the coefficient rule
     code, out, _ = run(["check", "psi(K; [0,0]; 1)"])

@@ -1,15 +1,19 @@
+import itertools
+
 import pytest
 
 from piord.errors import CapExceeded, NoWitness, UndefinedOnZero
 from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord, mk_lamsum
 from piord.order import EQ, GT, LT, cmp_exp
 from piord.cnf import (
-    all_parts, exp_add, exp_succ, from_pairs, he, he_iter, head_tail,
-    irreducible, irreducible_reduct, is_part, iterated_tail_parts, lam_of,
-    lam_tower, lx_lt, pairs, seq_lt, seq_lt_k, sp_le, sp_lt, sp_position,
-    step_down, te, te_iter, tl, vec_sp, vec_step_down,
+    all_parts, drop_tail, exp_add, exp_succ, from_pairs, he, he_iter,
+    head_tail, irreducible, irreducible_reduct, is_part, iterated_tail_parts,
+    lam_of, lam_tower, lx_lt, pairs, seq_lt, seq_lt_k, sp_le, sp_lt,
+    sp_position, step_down, te, te_iter, tl, vec_sp, vec_step_down,
 )
 from piord.arith import from_int
+from piord.oracle import _exp_pool, _sd_vector_pool, _sparse_vectors
+from piord.params import SystemParams
 
 E1 = mk_eord(ONE)
 E2 = mk_eord(from_int(2))
@@ -120,6 +124,12 @@ def test_lx_lt():
     assert lx_lt((E_ZERO, E1), (lam(E2, ONE), E_ZERO))
     assert not lx_lt((E1, E_ZERO), (E1, E_ZERO))      # equal vectors
     assert not lx_lt((E1, E_ZERO), (E_ZERO, E_ZERO))  # xi side vanishes
+    # nu is non-zero at the first difference, xi only later: nu's head
+    # walk to xi's first non-zero entry must be at most that entry
+    assert lx_lt((E1, E_ZERO), (E_ZERO, E1))          # he(1) = 0 <= 1
+    assert lx_lt((l1, E_ZERO), (E_ZERO, E1))          # he(L^1*1) = 1 <= 1
+    assert not lx_lt((lam(E2, ONE), E_ZERO), (E_ZERO, E1))
+    assert not lx_lt((E1, E_ZERO, E_ZERO), (E_ZERO, E_ZERO, E1))  # walk ends
     with pytest.raises(IndexError):
         lx_lt((E1,), (E1, E_ZERO))
 
@@ -151,6 +161,82 @@ def test_irreducible():
     assert irreducible_reduct((lam(E1, ONE), E1)) == (E_ZERO, E1)
     v = (lam(E2, ONE), E1)
     assert irreducible_reduct(v) == v
+
+
+def _ref_tail_violation(vec):
+    """The first (i, k) with Tl(vec[i]) below the k-fold tower over
+    vec[i+k] + 1, found by building each tower."""
+    n = len(vec)
+    for i in range(n):
+        if vec[i] is E_ZERO:
+            continue
+        t = tl(vec[i])
+        for k in range(1, n - i):
+            if cmp_exp(t, lam_tower(exp_succ(vec[i + k]), k)) == LT:
+                return i, k
+    return None
+
+
+def _ref_reduct(vec):
+    vec = tuple(vec)
+    while (hit := _ref_tail_violation(vec)) is not None:
+        i = hit[0]
+        vec = vec[:i] + (drop_tail(vec[i]),) + vec[i + 1:]
+    return vec
+
+
+def _agree_with_towers(vecs):
+    """Check irreducible and irreducible_reduct against the tower-building
+    reference; return the tower heights k of the reference's violations."""
+    heights = set()
+    for vec in vecs:
+        hit = _ref_tail_violation(vec)
+        assert irreducible(vec) == (hit is None), vec
+        assert irreducible_reduct(vec) == _ref_reduct(vec), vec
+        if hit is not None:
+            heights.add(hit[1])
+    return heights
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_irreducible_matches_tower_reference(n, census_exponents):
+    corpus, e_by_size = census_exponents(SystemParams(n), 9)
+    exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
+    pool = _sd_vector_pool(e_by_size, n, 6)
+    vecs = (list(corpus.seqs) + list(_sparse_vectors(exps, n - 2, 2))
+            + [v for cost in pool for v in pool[cost]])
+    assert len(vecs) > 80
+    # these small vectors violate at one level at most; the next test
+    # reaches higher towers
+    assert _agree_with_towers(vecs) == (set() if n == 3 else {1})
+
+
+def test_irreducible_matches_tower_reference_on_high_towers():
+    # nested base-powers, so that violations need towers of 2 and 3 levels
+    l1, l2 = lam(E1, ONE), lam(E2, ONE)
+    exps = [E_ZERO, E1, E2, l1, l2, lam(l1, ONE), lam(l2, ONE),
+            lam(lam(l1, ONE), ONE),
+            mk_lamsum(((lam(l2, ONE), ONE), (l1, from_int(2))))]
+    vecs = itertools.product(exps, repeat=4)
+    assert _agree_with_towers(vecs) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("t, x, k, below", [
+    # he_iter(5, 2) is None: the head walk reaches zero before 2 levels
+    (E5, E3, 2, True),
+    # he^2(t) = 2 equals the entry: L^(L^(2)) < L^(L^(2+1))
+    (lam(lam(E2, ONE), ONE), E2, 2, True),
+    (lam(lam(E2, ONE), ONE), E1, 2, False),
+    (lam(lam(E2, ONE), ONE), E3, 2, True),
+], ids=["walk-reaches-zero", "walk-equals-entry", "walk-above-entry",
+        "walk-below-entry"])
+def test_tower_bound_is_a_head_walk(t, x, k, below):
+    assert (cmp_exp(t, lam_tower(exp_succ(x), k)) == LT) is below
+    h = he_iter(t, k)
+    assert (h is None or cmp_exp(h, x) != GT) is below
+    vec = (t,) + (E_ZERO,) * (k - 1) + (x,)
+    assert irreducible(vec) == (_ref_tail_violation(vec) is None)
+    assert irreducible_reduct(vec) == _ref_reduct(vec)
 
 
 def test_reduct_always_irreducible(corpus4):

@@ -7,21 +7,22 @@ import types
 
 import pytest
 
-from piord.errors import BudgetExceeded, ComparisonUndecided
+from piord.errors import BudgetExceeded, ComparisonUndecided, ValidationError
 from piord.params import SystemParams
 from piord.terms import (
-    BIG_K, E_ZERO, ZERO, Psi, is_principal, mk_eord, mk_lamsum, mk_omega_exp,
-    mk_omega_idx, mk_psi, mk_sum, mk_veblen,
+    BIG_K, E_ONE, E_ZERO, ONE, ZERO, Psi, is_principal, mk_eord, mk_lamsum,
+    mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
 )
 import piord.order
 import piord.oracle as oracle
 from piord.order import _k_delta, clear_caches, cmp_ord, GT, LT
 from piord.validate import check_ot
-from piord.arith import theorem_bound
+from piord.arith import psi_step, theorem_bound
 from piord.oracle import (
     check_order_axioms, check_structural_props, descent_probe, enumerate_corpus,
     sd_cross_check, witness_terms,
 )
+from piord.sd import in_sd
 from piord.syntax import print_ord, print_seq
 from piord.cli import main as cli_main
 
@@ -285,6 +286,55 @@ def test_sd_cross_check_vectors_keep_the_product_order(corpus4):
         assert list(oracle._sparse_vectors(exps, length, 2)) == sparse
         if length <= 2:
             assert len(sparse) == len(exps) ** length
+
+
+def _product_pool(e_by_size, n, budget):
+    """Every vector of N-2 census exponents within the budget, then the
+    derivable non-zero ones, keyed by cost in product order."""
+    vecs = [((), 0)]
+    for _ in range(n - 2):
+        nxt = []
+        for vec, used in vecs:
+            nxt.append((vec + (E_ZERO,), used))
+            for se in range(1, budget - used + 1):
+                for e in e_by_size.get(se, ()):
+                    if e is not E_ZERO:
+                        nxt.append((vec + (e,), used + se))
+        vecs = nxt
+    out = {}
+    for vec, used in vecs:
+        if used and in_sd(vec) is not None:
+            out.setdefault(used, []).append(vec)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sd_vector_pool_is_the_filtered_product(n, census_exponents):
+    _, e_by_size = census_exponents(SystemParams(n), 11)
+    for budget in range(1, 9):
+        want = _product_pool(e_by_size, n, budget)
+        got = oracle._sd_vector_pool(e_by_size, n, budget)
+        assert list(got.items()) == list(want.items()), budget
+    assert sum(map(len, want.values())) == {5: 398, 6: 399}[n]
+
+
+def test_enumerate_at_rank_20():
+    out = io.StringIO()
+    argv = ["--big-n", "20", "enumerate", "--size-cap", "11"]
+    assert cli_main(argv, out, io.StringIO()) == 0
+    assert len(out.getvalue().splitlines()) == 3029
+
+
+def test_step_vectors_of_an_absorbing_base(p4):
+    # the tail exponent of the base's next-to-last entry, 1, is at most its
+    # last entry, 1: an appended base-power would be absorbed, so the
+    # stepping rule gives no vector; the base is not a valid term either
+    # (no valid base of this shape is known), and psi_step rejects it
+    pi = mk_psi(BIG_K, (mk_lamsum(((E_ONE, ONE),)), E_ONE), ONE)
+    ot_by_size = {s: [ZERO, BIG_K] for s in range(1, 8)}
+    assert oracle._step_vectors(pi, 8, ot_by_size, (E_ZERO, E_ZERO)) == {}
+    with pytest.raises(ValidationError):
+        psi_step(pi, BIG_K, BIG_K, p4)
 
 
 def test_descent_probe(corpus4):
