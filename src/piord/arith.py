@@ -21,7 +21,7 @@ from .validate import ValidationReport, check_ot
 
 __all__ = [
     "add", "natural_sum", "succ", "from_int", "omega_exp", "veblen",
-    "omega_idx", "psi", "psi0", "psiK", "psi_step", "psi_sd",
+    "omega_idx", "psi", "psi0", "psiK", "step_vector", "psi_step", "psi_sd",
     "omega_tower", "theorem_bound",
 ]
 
@@ -108,7 +108,7 @@ def omega_idx(b):
 def psi(pi, nu, a, params):
     """Construct psi_pi^nu(a) and validate it; raises with the failing
     report otherwise."""
-    t = mk_psi(pi, nu, a)
+    t = mk_psi(pi, tuple(nu), a)
     rep = check_ot(t, params)
     if not rep.ok:
         raise ValidationError(rep)
@@ -128,22 +128,28 @@ def psiK(b, a, params):
     return psi(BIG_K, nu, a, params)
 
 
+def step_vector(pi, b, n):
+    """The stepping rule's vector below pi, a base with at least two
+    recorded coefficients: a base-power with exponent m_{k+1}(pi) and
+    coefficient b appended to the entry at the last active position k."""
+    entry = exp_add(pi.m[-2], from_pairs(((pi.m[-1], b),)))
+    nu = pi.m[:-2] + (entry,)
+    return nu + zero_vec(n)[len(nu):]
+
+
 def psi_step(pi, b, a, params):
-    """One reflection-degree step below pi: append a base-power with
-    exponent m_{k+1}(pi) and coefficient b at the last active position."""
+    """One reflection-degree step below pi, with the vector
+    ``step_vector(pi, b, N)``."""
     if len(pi.m) < 2:
         raise ValidationError(ValidationReport(PSI11, (
             "base coefficients",
             "base %r has no coefficient above position 2" % (pi,))))
-    entry = exp_add(pi.m[-2], from_pairs(((pi.m[-1], b),)))
-    nu = pi.m[:-2] + (entry,)
-    nu += zero_vec(params.n)[len(nu):]
-    return psi(pi, nu, a, params)
+    return psi(pi, step_vector(pi, b, params.n), a, params)
 
 
 def psi_sd(pi, nu, a, params):
     """Collapse with an explicit step-down coefficient vector."""
-    return psi(pi, tuple(nu), a, params)
+    return psi(pi, nu, a, params)
 
 
 # ---------------------------------------------------------------------------

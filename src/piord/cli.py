@@ -22,8 +22,8 @@ from .validate import ValidationReport, check_ot
 from .sd import Base, in_sd
 from .arith import theorem_bound
 from .oracle import (
-    check_order_axioms, check_structural_props, descent_probe, enumerate_corpus,
-    sd_cross_check, DEFAULT_SIZE_CAP,
+    check_order_axioms, check_structural_props, default_size_cap,
+    descent_probe, enumerate_corpus, sd_cross_check,
 )
 from .syntax import (
     parse_ord, parse_ord_claims, parse_seq, print_exp, print_ord, print_seq,
@@ -70,7 +70,7 @@ def main(argv=None, stdout=None, stderr=None):
 def _corpus(args, params):
     cap = args.size_cap
     if cap is None:
-        cap = DEFAULT_SIZE_CAP.get(params.n, 9)
+        cap = default_size_cap(params.n)
     return enumerate_corpus(params, cap)
 
 
@@ -144,10 +144,10 @@ def _sd(args, params, emit):
 
 
 def _enumerate(args, params, emit):
-    terms = _corpus(args, params).terms
+    corpus = _corpus(args, params)
+    terms = corpus.terms
     if args.below is not None:
-        bound = parse_ord(args.below, params)
-        terms = [t for t in terms if cmp_ord(t, bound) == LT]
+        terms = terms[:corpus.index_below(parse_ord(args.below, params))]
     lines = [print_ord(t) for t in terms]
     if args.out:
         try:

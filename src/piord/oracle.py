@@ -39,17 +39,22 @@ from .cnf import he, he_iter, irreducible, lx_lt, seq_lt, te, vec_sp
 from .cnf import pairs as cnf_pairs
 from .sd import in_sd, replay, sd_necessary_conditions
 from .validate import check_ot, check_exp, rule_vs_series
-from .arith import add, omega_exp, psi0, psiK, psi_sd, psi_step
+from .arith import add, omega_exp, psi0, psiK, psi_sd, psi_step, step_vector
 from .syntax import print_ord, print_seq
 
 __all__ = [
-    "Corpus", "enumerate_corpus", "witness_terms",
+    "Corpus", "default_size_cap", "enumerate_corpus", "witness_terms",
     "CheckReport", "check_order_axioms", "check_structural_props",
     "sd_cross_check", "descent_probe", "DescentReport",
 ]
 
-DEFAULT_SIZE_CAP = {3: 11, 4: 11}
 DEFAULT_BUDGET = 60_000
+
+
+def default_size_cap(n):
+    """The census size cap for rank N when none is given: 11 at N = 3 and
+    4, where the census holds over 2000 terms, and 9 above."""
+    return 11 if n <= 4 else 9
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +190,7 @@ def _gen_psi(s, ot_by_size, e_by_size, params, keep):
                              if isinstance(e, EOrd)]
                         for se in range(1, rest)}
             elif len(pi.m) >= 2:            # Psi11: the stepping rule
-                vecs = _step_vectors(pi, rest, ot_by_size, zeros)
+                vecs = _step_vectors(pi, rest, ot_by_size, params.n)
             else:                           # Psi12: derivable vectors
                 if sd_pool is None:
                     sd_pool = _sd_vector_pool(e_by_size, params.n, s - 3)
@@ -198,20 +203,15 @@ def _gen_psi(s, ot_by_size, e_by_size, params, keep):
                         keep(mk_psi(pi, nu, a), s)
 
 
-def _step_vectors(pi, rest, ot_by_size, zeros):
+def _step_vectors(pi, rest, ot_by_size, n):
     """The stepping rule's vectors costing less than rest, by cost: each
-    is determined by the base and one ordinal coefficient."""
-    prefix, mk_, mj = pi.m[:-2], pi.m[-2], pi.m[-1]
-    ps_m = cnf_pairs(mk_)
+    is ``step_vector(pi, b, n)`` for one non-zero census coefficient b."""
     out = {}
-    if ps_m and cmp_exp(ps_m[-1][0], mj) != GT:
-        return out  # absorption: no coefficient can produce the required shape
     for sb in range(1, rest):
         for b in ot_by_size[sb]:
             if b is ZERO:
                 continue
-            nu = prefix + (mk_lamsum(ps_m + ((mj, b),)),)
-            nu += zeros[len(nu):]
+            nu = step_vector(pi, b, n)
             cost = sum(e.size for e in nu if e is not E_ZERO)
             if cost < rest:
                 out.setdefault(cost, []).append(nu)

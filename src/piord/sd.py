@@ -69,9 +69,9 @@ def _search(seq):
         tail = seq[j + 1:]
         prem2 = seq[:j] + (mu, zeta) + (E_ZERO,) * (len(seq) - j - 2)
         # an all-zero tail steps down below every exponent
-        if in_sd(prem2) is None or not vec_step_down(tail, zeta):
+        if _search(prem2) is None or not vec_step_down(tail, zeta):
             continue
-        d1 = in_sd(seq[:j] + (mu,) + tail)
+        d1 = _search(seq[:j] + (mu,) + tail)
         if d1 is not None:
             step = Extend(j + 2, zeta, coeff, keep_tail=not is_zero_vec(tail))
             return SdDerivation(d1.steps + (step,), seq)
@@ -113,10 +113,11 @@ def sd_necessary_conditions(seq):
     seq = tuple(seq)
     n = len(seq)
 
+    # proper prefixes only: i = n would ask for the vector's own derivation
     prefix_ok = True
-    for i in range(n + 1):
+    for i in range(n):
         filled = seq[:i] + (E_ZERO,) * (n - i)
-        if in_sd(filled) is None:
+        if _search(filled) is None:
             prefix_ok = False
             break
 

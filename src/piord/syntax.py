@@ -76,7 +76,7 @@ class _Parser:
             parts.append(self.prin())
         if ZERO in parts:
             self.error("zero cannot appear inside a sum")
-        return mk_sum([q for p in parts for q in p.parts])
+        return mk_sum(tuple(q for p in parts for q in p.parts))
 
     def ord_close(self):
         a = self.ord()

@@ -118,8 +118,9 @@ class LamSum(Exp):
 # Interning
 # ---------------------------------------------------------------------------
 
-# Each constructor is cached on its positional arguments, so the same shape
-# always yields the same object.  These caches are not registered with
+# Each mk_* constructor is itself the cache of its node shape: it takes
+# positional-only arguments, tuples where it takes a sequence, so the same
+# shape always yields the same object.  These caches are not registered with
 # order.memo: interned identity must outlive order.clear_caches() and
 # order.trim_caches(), so they are the one unbounded table, by design.
 
@@ -144,12 +145,8 @@ E_ZERO.comps = frozenset()
 E_ZERO.pairs = ()
 
 
-def mk_sum(parts):
-    return _mk_sum(tuple(parts))
-
-
 @functools.cache
-def _mk_sum(parts, /):
+def mk_sum(parts, /):
     assert len(parts) >= 2, "a sum needs at least two parts"
     for p in parts:
         assert is_principal(p), "sum parts must be principal terms"
@@ -181,12 +178,8 @@ def mk_omega_idx(b, /):
     return t
 
 
-def mk_psi(pi, nu, a):
-    return _mk_psi(pi, tuple(nu), a)
-
-
 @functools.cache
-def _mk_psi(pi, nu, a, /):
+def mk_psi(pi, nu, a, /):
     assert all(isinstance(e, Exp) for e in nu)
     # zero coefficient entries are notation padding and cost no symbols
     t = _principal(Psi, 1 + pi.size + a.size + sum(
@@ -208,12 +201,8 @@ def mk_eord(a, /):
     return t
 
 
-def mk_lamsum(pairs):
-    return _mk_lamsum(tuple(pairs))
-
-
 @functools.cache
-def _mk_lamsum(pairs, /):
+def mk_lamsum(pairs, /):
     assert pairs, "a base-power sum needs at least one pair"
     assert not (len(pairs) == 1 and pairs[0][0] is E_ZERO), \
         "a single zero-exponent pair is an EOrd"
@@ -229,11 +218,10 @@ def _mk_lamsum(pairs, /):
 
 
 def from_parts(parts):
-    """The ordinal term with the given CNF parts; inverse of ``t.parts``."""
-    # straight to the cached body, one frame below mk_sum, so a numeral at
-    # the bottom of a deep term does not lower the depth limit
+    """The ordinal term with the given CNF parts, a tuple; inverse of
+    ``t.parts``."""
     if len(parts) > 1:
-        return _mk_sum(tuple(parts))
+        return mk_sum(parts)
     return parts[0] if parts else ZERO
 
 

@@ -15,8 +15,8 @@ from piord.order import EQ, GT, LT, clear_caches, cmp_ord
 from piord.validate import check_ot
 from piord.arith import theorem_bound
 from piord.oracle import (
-    DEFAULT_SIZE_CAP, check_order_axioms, check_structural_props, descent_probe,
-    enumerate_corpus, sd_cross_check,
+    check_order_axioms, check_structural_props, default_size_cap,
+    descent_probe, enumerate_corpus, sd_cross_check,
 )
 from piord.syntax import parse_ord, print_ord
 from piord.cli import main as cli_main
@@ -29,7 +29,7 @@ _corpora = {}
 def corpus_for(n):
     if n not in _corpora:
         params = SystemParams(n)
-        _corpora[n] = enumerate_corpus(params, DEFAULT_SIZE_CAP[n])
+        _corpora[n] = enumerate_corpus(params, default_size_cap(n))
     return _corpora[n]
 
 
@@ -42,7 +42,7 @@ def test_criterion_1_order_axioms():
     for n in (3, 4):
         t0 = time.monotonic()
         params = SystemParams(n)
-        corpus = enumerate_corpus(params, DEFAULT_SIZE_CAP[n])
+        corpus = enumerate_corpus(params, default_size_cap(n))
         _corpora[n] = corpus
         assert len(corpus.terms) >= 2_000, \
             "corpus for N=%d has only %d terms" % (n, len(corpus.terms))
@@ -135,7 +135,7 @@ def _run_cli_subprocess(argv, hashseed):
 
 def test_criterion_6_determinism(tmp_path):
     # independent processes with different hash seeds must agree bytewise
-    cap = str(DEFAULT_SIZE_CAP[4])
+    cap = str(default_size_cap(4))
     e1 = _run_cli_subprocess(["enumerate", "--size-cap", cap], 1)
     e2 = _run_cli_subprocess(["enumerate", "--size-cap", cap], 2)
     assert e1 == e2

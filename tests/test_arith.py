@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piord.errors import ArgsNotBelowK, OutOfRange
+from piord.errors import ArgsNotBelowK, OutOfRange, ValidationError
 from piord.params import SystemParams
 from piord.terms import BIG_K, ONE, ZERO, OmegaExp, Psi
 from piord.order import EQ, GT, LT, cmp_ord, le, lt
 from piord.validate import check_ot
 from piord.arith import (
     add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
-    psi0, succ, theorem_bound, veblen,
+    psi0, psi_step, succ, theorem_bound, veblen,
 )
 from piord.syntax import parse_ord
 
@@ -59,6 +59,15 @@ def test_omega_idx_builder():
         omega_idx(ZERO)
     with pytest.raises(OutOfRange):
         omega_idx(BIG_K)
+
+
+def test_psi_step_needs_two_base_coefficients():
+    # Om(1) records one coefficient, psi(K; 0) none
+    for base in ("Om(1)", "psi(K; 0)"):
+        with pytest.raises(ValidationError) as exc:
+            psi_step(t(base), ONE, BIG_K, P4)
+        assert exc.value.report.failure[0] == "base coefficients"
+        assert "base %s has no coefficient" % base in str(exc.value)
 
 
 def test_towers():

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ from piord import cli
 from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
 from piord.errors import PiordError
-from piord.oracle import enumerate_corpus
+from piord.oracle import default_size_cap, enumerate_corpus
+from piord.order import LT, cmp_ord
 from piord.params import SystemParams
 from piord.syntax import MAX_NUMERAL, parse_ord, print_ord
 from piord.terms import BIG_K, ONE, ZERO, m_vec
@@ -371,6 +373,70 @@ def test_enumerate_below_and_out(tmp_path):
     run(["enumerate", "--size-cap", "5", "--out", str(f1)])
     run(["enumerate", "--size-cap", "5", "--out", str(f2)])
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_enumerate_below_slices_the_census(corpus4):
+    # the census terms that compare below the bound, for 0, K, a census
+    # term, and a term outside the census
+    terms = corpus4.terms
+    assert theorem_bound(2, corpus4.params) not in terms
+    for bound in ("0", "K", print_ord(terms[len(terms) // 2]),
+                  "psi(Om(1); w^(w^(K+1)))"):
+        b = parse_ord(bound, corpus4.params)
+        want = [print_ord(t) for t in terms if cmp_ord(t, b) == LT]
+        code, out, _ = run(["enumerate", "--size-cap", "9", "--below", bound])
+        assert code == 0 and out.splitlines() == want, bound
+    assert want and len(want) < len(terms)
+
+
+@pytest.mark.parametrize("n, cap", [(3, 11), (4, 11), (5, 9), (8, 9)])
+def test_default_size_cap(monkeypatch, n, cap):
+    # enumerate, props and descend without --size-cap take the default
+    # cap of the rank; a stand-in census keeps the run small
+    caps = []
+
+    def census(params, size_cap):
+        caps.append(size_cap)
+        return enumerate_corpus(params, 3)
+
+    monkeypatch.setattr(cli, "enumerate_corpus", census)
+    for argv in (["enumerate"], ["props"], ["descend", "K"]):
+        code, _, err = run(["--big-n", str(n)] + argv)
+        assert code == 0, err
+    assert caps == [cap] * 3 and default_size_cap(n) == cap
+
+
+def _prop_line(line):
+    name, status, checked, example = re.fullmatch(
+        r"(.*?) +(PASS|FAIL)  \((\d+) checked\)(?:  e\.g\. (.*))?",
+        line).groups()
+    return name, status == "PASS", int(checked), example
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_props_json_lines_match_the_text(monkeypatch, faulted):
+    if faulted:       # every collapse term fails "recorded vectors derivable"
+        monkeypatch.setattr("piord.oracle.in_sd", lambda vec: None)
+    argv = ["props", "--size-cap", "6"]
+    code, text, _ = run(argv)
+    json_code, out, _ = run(["--format", "json-lines"] + argv)
+    assert code == json_code == int(faulted)
+    records = [json.loads(x) for x in out.splitlines()]
+    lines = text.splitlines()
+    assert len(records) == len(lines) == 15
+    for rec, line in zip(records[:-1], lines):
+        name, ok, checked, example = _prop_line(line)
+        assert rec["kind"] == "prop"
+        assert (rec["name"], rec["ok"], rec["checked"]) == (name, ok, checked)
+        assert len(rec["failures"]) <= 5
+        assert rec["failures"][:1] == ([] if ok else [example])
+    assert records[-1] == {"kind": "sd-unconfirmed", "count": int(
+        re.fullmatch(r"sd-unconfirmed (\d+) .*", lines[-1]).group(1))}
+    failed = [rec for rec in records[:-1] if not rec["ok"]]
+    assert bool(failed) == faulted
+    if faulted:
+        assert [r["name"] for r in failed] == ["recorded vectors derivable"]
+        assert len(failed[0]["failures"]) == 5 < failed[0]["checked"]
 
 
 def test_descend_command():

@@ -148,7 +148,11 @@ def test_every_checkpoint_is_reached(monkeypatch, p4):
 
 
 def test_intern_caches_stay_unbounded(monkeypatch, p4):
+    # the intern caches are exactly the seven public constructors
     interns = [f for f in vars(terms).values() if hasattr(f, "cache_info")]
+    assert sorted(f.__name__ for f in interns) == sorted(
+        name for name in terms.__all__ if name.startswith("mk_"))
+    assert all(getattr(terms, f.__name__) is f for f in interns)
     assert len(interns) == 7
     assert all(f.cache_info().maxsize is None for f in interns)
     assert not {id(f) for f in interns} & {id(m) for m in _MEMOS}

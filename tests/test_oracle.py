@@ -15,13 +15,14 @@ from piord.terms import (
 )
 import piord.order
 import piord.oracle as oracle
-from piord.order import _k_delta, clear_caches, cmp_ord, GT, LT
+from piord.order import _k_delta, clear_caches, cmp_exp, cmp_ord, GT, LT
 from piord.validate import check_ot
-from piord.arith import psi_step, theorem_bound
+from piord.arith import psi_step, step_vector, theorem_bound
 from piord.oracle import (
     check_order_axioms, check_structural_props, descent_probe, enumerate_corpus,
     sd_cross_check, witness_terms,
 )
+from piord.cnf import te
 from piord.sd import in_sd
 from piord.syntax import print_ord, print_seq
 from piord.cli import main as cli_main
@@ -252,6 +253,16 @@ def test_sd_cross_check_small(corpus4):
     assert isinstance(unconfirmed, list)
 
 
+def test_sd_cross_check_reports_an_unconfirmed_vector(p4):
+    # [0,L^(K)*(K)] meets the four conditions and has no derivation; the
+    # corpus holds no term, only that exponent in its vectors
+    lam = mk_lamsum(((mk_eord(BIG_K), BIG_K),))
+    corpus = oracle.Corpus(p4, 0, (), ((lam, E_ZERO),))
+    rep, unconfirmed = sd_cross_check(corpus)
+    assert rep.ok and rep.checked > 0, rep.line()
+    assert unconfirmed == [(E_ZERO, lam)]
+
+
 def test_witnesses_cover_deep_rules(p3, p4):
     rules3 = {check_ot(w, p3).rule for w in witness_terms(p3)}
     assert {"Psi10", "Psi12"} <= rules3
@@ -327,14 +338,37 @@ def test_enumerate_at_rank_20():
 
 def test_step_vectors_of_an_absorbing_base(p4):
     # the tail exponent of the base's next-to-last entry, 1, is at most its
-    # last entry, 1: an appended base-power would be absorbed, so the
-    # stepping rule gives no vector; the base is not a valid term either
-    # (no valid base of this shape is known), and psi_step rejects it
+    # last entry, 1: the appended base-power merges into that entry, so no
+    # vector the stepping rule gives validates; the base is not a valid
+    # term either (no valid base of this shape is known), and psi_step
+    # rejects it
     pi = mk_psi(BIG_K, (mk_lamsum(((E_ONE, ONE),)), E_ONE), ONE)
-    ot_by_size = {s: [ZERO, BIG_K] for s in range(1, 8)}
-    assert oracle._step_vectors(pi, 8, ot_by_size, (E_ZERO, E_ZERO)) == {}
+    stages = [ZERO, ONE, BIG_K]
+    ot_by_size = {s: stages for s in range(1, 8)}
+    vecs = oracle._step_vectors(pi, 8, ot_by_size, 4)
+    assert vecs
+    for nus in vecs.values():
+        for nu in nus:
+            assert all(not check_ot(mk_psi(pi, nu, a), p4).ok
+                       for a in stages), print_seq(nu)
     with pytest.raises(ValidationError):
         psi_step(pi, BIG_K, BIG_K, p4)
+
+
+@pytest.mark.parametrize("n, cap", [(4, 9), (5, 8), (6, 7), (7, 7)])
+def test_no_valid_step_base_absorbs(n, cap):
+    # every stepping base of the census and of the witness chain: the tail
+    # exponent of its next-to-last entry lies above its last entry, so the
+    # appended base-power is kept whole
+    params = SystemParams(n)
+    terms = enumerate_corpus(params, cap).terms + tuple(witness_terms(params))
+    bases = [t for t in terms if len(t.m) >= 2]
+    assert bases
+    for pi in bases:
+        prev, last = pi.m[-2], pi.m[-1]
+        assert prev is E_ZERO or cmp_exp(te(prev), last) == GT, pi
+        entry = step_vector(pi, BIG_K, n)[len(pi.m) - 2]
+        assert entry.pairs == prev.pairs + ((last, BIG_K),)
 
 
 def test_descent_probe(corpus4):
@@ -361,6 +395,29 @@ def test_index_below(corpus4):
     assert outside not in small.terms
     assert small.index_below(outside) == sum(
         cmp_ord(t, outside) == LT for t in small.terms)
+
+
+def test_undecided_pair_fails_every_axiom_case_that_needs_it(monkeypatch):
+    # one forward pair left undecided: the pair suite fails that pair, and
+    # transitivity fails each of the n - 2 triples holding both its terms,
+    # each with the message the comparator raised
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    n = len(terms)
+    pair = (terms[3], terms[7])
+
+    def undecided(x, y):
+        if (x, y) == pair:
+            raise ComparisonUndecided("no clause decides")
+        return cmp_ord(x, y)
+
+    monkeypatch.setattr(oracle, "cmp_ord", undecided)
+    tri, trans = check_order_axioms(corpus)
+    assert tri.name == "trichotomy+antisymmetry"
+    assert tri.checked == n * (n - 1) // 2
+    assert tri.failures == ("no clause decides",)
+    assert trans.checked == n * (n - 1) * (n - 2) // 6
+    assert trans.failures == ("no clause decides",) * (n - 2)
 
 
 def test_mutated_comparator_is_caught(monkeypatch, corpus4):

@@ -58,6 +58,12 @@ def test_necessary_conditions():
     assert not bad.irreducible and not bad.all_hold
     zero = sd_necessary_conditions((E_ZERO, E_ZERO))
     assert zero.all_hold
+    # the prefix condition asks only for the proper prefixes: [0,L^(K)*(K)]
+    # meets all four conditions, yet its last entry is no ordinal and
+    # nothing before it can be extended
+    vec = (E_ZERO, lam(EK, BIG_K))
+    assert in_sd(vec) is None
+    assert sd_necessary_conditions(vec).all_hold
 
 
 def test_accepted_implies_conditions(corpus4):

@@ -23,7 +23,6 @@ P4 = SystemParams(4)
 def test_interning_gives_identity():
     assert mk_veblen(ZERO, ZERO) is ONE
     assert mk_sum((ONE, ONE)) is mk_sum((ONE, ONE))
-    assert mk_sum([ONE, ONE]) is mk_sum((ONE, ONE))
     assert mk_eord(BIG_K) is mk_eord(BIG_K)
 
 
@@ -33,6 +32,13 @@ def test_cached_constructors_are_positional_only():
         mk_veblen(b=ONE, g=ZERO)
     with pytest.raises(TypeError):
         mk_eord(a=ONE)
+    with pytest.raises(TypeError):
+        mk_psi(BIG_K, (E_ZERO, E_ONE), a=ONE)
+    # sequences are passed as tuples: a list is not a cache key
+    with pytest.raises(TypeError):
+        mk_sum([ONE, ONE])
+    with pytest.raises(TypeError):
+        mk_lamsum([(E_ONE, ONE)])
 
 
 def test_repr_is_the_grammar_printer():
