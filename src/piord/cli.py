@@ -74,13 +74,18 @@ def _corpus(args, params):
     return enumerate_corpus(params, cap)
 
 
-def _check(args, params, emit):
-    t, zero_claims = parse_ord_claims(args.term, params)
-    rep = check_ot(t, params)
+def _refute(rep, zero_claims):
+    """rep, or a failure when the spelling claimed a coefficient-carrying
+    rule with an explicit all-zero vector.  Callers run check_ot in their
+    own frame, so validation's depth limit stays where check has it."""
     if rep.ok and zero_claims:
-        # the spelling claimed a coefficient-carrying rule; refute it
         name = "0 < b" if zero_claims[0].pi is BIG_K else "non-zero vector"
-        rep = ValidationReport(None, (name, "all-zero vector"))
+        return ValidationReport(None, (name, "all-zero vector"))
+    return rep
+
+
+def _report(t, rep, emit):
+    """Emit check's line for t; return its exit code, 0 or 1."""
     term = print_ord(t)
 
     def record():
@@ -93,6 +98,11 @@ def _check(args, params, emit):
         return 0
     emit(record, "fail %s: %s" % (term, rep.first_failure()))
     return 1
+
+
+def _check(args, params, emit):
+    t, zero_claims = parse_ord_claims(args.term, params)
+    return _report(t, _refute(check_ot(t, params), zero_claims), emit)
 
 
 def _cmp(args, params, emit):
@@ -144,10 +154,16 @@ def _sd(args, params, emit):
 
 
 def _enumerate(args, params, emit):
+    below = None
+    if args.below is not None:
+        below, zero_claims = parse_ord_claims(args.below, params)
+        valid = _refute(check_ot(below, params), zero_claims)
+        if not valid.ok:
+            return _report(below, valid, emit)
     corpus = _corpus(args, params)
     terms = corpus.terms
-    if args.below is not None:
-        terms = terms[:corpus.index_below(parse_ord(args.below, params))]
+    if below is not None:
+        terms = terms[:corpus.index_below(below)]
     lines = [print_ord(t) for t in terms]
     if args.out:
         try:
@@ -179,9 +195,11 @@ def _props(args, params, emit):
 
 
 def _descend(args, params, emit):
-    corpus = _corpus(args, params)
-    t = parse_ord(args.term, params)
-    rep = descent_probe(t, corpus, args.steps, args.seed)
+    t, zero_claims = parse_ord_claims(args.term, params)
+    valid = _refute(check_ot(t, params), zero_claims)
+    if not valid.ok:
+        return _report(t, valid, emit)
+    rep = descent_probe(t, _corpus(args, params), args.steps, args.seed)
     start, final = print_ord(t), print_ord(rep.final)
     text = ("chain length %d from %s, final %s, %s"
             % (rep.chain_len, start, final,

@@ -131,7 +131,12 @@ def _cmp_principal(s, t):
     if ra != rb:
         return LT if ra < rb else GT
     if ra == 2:                                   # omega-powers above the top
-        return cmp_ord(s.b, t.b)
+        # w^a against w^b is a against b: walk down a tower in this frame,
+        # so a deep pair neither nests frames nor fills the memo per level
+        s, t = s.b, t.b
+        while type(s) is OmegaExp and type(t) is OmegaExp and s is not t:
+            s, t = s.b, t.b
+        return cmp_ord(s, t)
     if ra == 1:                                   # both are the top term
         return EQ
     ts, tt = type(s), type(t)

@@ -29,127 +29,126 @@ __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 MAX_NUMERAL = 1000
 
 
-# The scanner consumes the whitespace after each token, and any in front of
-# the first, so it never rests on a blank: a literal test is one startswith,
-# and an error position is the offending token's.
-_BLANKS = re.compile(r"\s*").match
-_DIGITS = re.compile(r"\d+").match
+# One pattern splits an operand into tokens, each after the blanks in front
+# of it: the multi-character literals, a digit run, any other single
+# character (the one-character literals among them), and an empty token at
+# the end.  ")*(" is one token; where its ")" closes a term, the parser
+# consumes that ")" and leaves "*(" in its place.
+_TOKEN = re.compile(r"\s*(psi\(|phi\(|w\^\(|Om\(|L\^\(|\)\*\(|\d+|.|\Z)")
 
 
 class _Parser:
     def __init__(self, text, params):
         self.text = text
         self.n = params.n
-        self.pos = _BLANKS(text).end()
+        self.toks = _TOKEN.findall(text)
+        self.i = 0
         # psi terms spelled with an explicit all-zero vector: the spelling
         # claims a coefficient-carrying rule, which `check` must refute
         self.zero_claims = []
 
-    def error(self, message, pos=None):
-        raise OrdSyntaxError(message, self.pos if pos is None else pos)
-
-    def accept(self, lit):
-        """Consume lit and the whitespace after it when lit comes next."""
-        if not self.text.startswith(lit, self.pos):
-            return False
-        self.skip(len(lit))
-        return True
+    def error(self, message, i=None, cls=OrdSyntaxError):
+        """Raise at token i, the current one by default.  Positions are
+        found only here, by scanning the text again."""
+        i = self.i if i is None else i
+        pos = [m.start(1) for m in _TOKEN.finditer(self.text)][i]
+        # a "*(" token starts one character into its ")*("
+        raise cls(message, pos + (self.toks[i] == "*("))
 
     def expect(self, lit):
-        if not self.text.startswith(lit, self.pos):
+        tok = self.toks[self.i]
+        if tok == lit:
+            self.i += 1
+        elif lit == ")" and tok == ")*(":
+            self.toks[self.i] = "*("
+        else:
             self.error("expected %r" % lit)
-        self.skip(len(lit))
-
-    def skip(self, n):
-        """Move past n characters and the whitespace after them."""
-        pos = self.pos + n
-        # most tokens have no blank after them; the match is costlier
-        self.pos = (_BLANKS(self.text, pos).end()
-                    if self.text[pos:pos + 1].isspace() else pos)
 
     def ord(self):
         t = self.prin()
-        if not self.text.startswith("+", self.pos):
+        if self.toks[self.i] != "+":
             return t
         parts = [t]
-        while self.accept("+"):
+        while self.toks[self.i] == "+":
+            self.i += 1
             parts.append(self.prin())
         if ZERO in parts:
             self.error("zero cannot appear inside a sum")
         return mk_sum(tuple(q for p in parts for q in p.parts))
 
-    def ord_close(self):
-        a = self.ord()
-        self.expect(")")
-        return a
-
     def prin(self):
-        # the next character picks the alternative; psi, the most common
-        # principal term, is tried first
-        c = self.text[self.pos:self.pos + 1]
-        if c == "p" and self.accept("psi("):
+        # psi, the most common principal term, is tried first; a term that
+        # closes with ")" parses its operand and then expects the ")", so
+        # each nesting level costs two frames, ord and prin
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "psi(":
             pi = self.ord()
             self.expect(";")
-            if not self.text.startswith("[", self.pos):
-                return mk_psi(pi, zero_vec(self.n), self.ord_close())
+            if self.toks[self.i] != "[":
+                a = self.ord()
+                self.expect(")")
+                return mk_psi(pi, zero_vec(self.n), a)
             nu = self.seq()
             self.expect(";")
-            t = mk_psi(pi, nu, self.ord_close())
+            a = self.ord()
+            self.expect(")")
+            t = mk_psi(pi, nu, a)
             if is_zero_vec(nu):
                 self.zero_claims.append(t)
             return t
-        if c == "K":
-            self.skip(1)
+        if tok == "K":
             return BIG_K
-        if c == "O" and self.accept("Om("):
-            return mk_omega_idx(self.ord_close())
-        if c == "p" and self.accept("phi("):
+        if tok == "Om(":
+            a = self.ord()
+            self.expect(")")
+            return mk_omega_idx(a)
+        if tok == "phi(":
             b = self.ord()
             self.expect(",")
-            return mk_veblen(b, self.ord_close())
-        if c == "w" and self.accept("w^("):
-            return mk_omega_exp(self.ord_close())
-        if not c.isdecimal():
-            self.error("expected a term")
-        run = _DIGITS(self.text, self.pos)[0]
-        digits = run.lstrip("0") or "0"
+            a = self.ord()
+            self.expect(")")
+            return mk_veblen(b, a)
+        if tok == "w^(":
+            a = self.ord()
+            self.expect(")")
+            return mk_omega_exp(a)
+        if not tok.isdecimal():
+            self.error("expected a term", self.i - 1)
+        digits = tok.lstrip("0") or "0"
         # the length test comes first: a long run is never converted
         if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
-            self.error("numeral above %d" % MAX_NUMERAL)
-        self.skip(len(run))
+            self.error("numeral above %d" % MAX_NUMERAL, self.i - 1)
         return from_parts((ONE,) * int(digits))
 
     def seq(self):
-        start = self.pos
+        start = self.i
         self.expect("[")
         entries = [self.exp()]
-        while self.accept(","):
+        while self.toks[self.i] == ",":
+            self.i += 1
             entries.append(self.exp())
         self.expect("]")
         if len(entries) != self.n - 2:
-            raise ArityError(
-                "coefficient vector has %d entries, need %d for N=%d"
-                % (len(entries), self.n - 2, self.n), start)
+            self.error("coefficient vector has %d entries, need %d for N=%d"
+                       % (len(entries), self.n - 2, self.n), start, ArityError)
         return tuple(entries)
 
     def exp(self):
-        if not self.text.startswith("L^(", self.pos):
+        if self.toks[self.i] != "L^(":
             a = self.ord()
             return E_ZERO if a is ZERO else mk_eord(a)
         ps = [self.lam()]
-        back = self.pos
         # a "+" joins the sum only when a base-power follows it
-        while self.accept("+") and (p := self.lam()):
-            ps.append(p)
-            back = self.pos
-        self.pos = back
+        while self.toks[self.i] == "+" and self.toks[self.i + 1] == "L^(":
+            self.i += 1
+            ps.append(self.lam())
         return mk_lamsum(tuple(ps))
 
     def lam(self):
-        """One base-power (e, c), or None when "L^(" is not next."""
-        start = self.pos
-        if not self.accept("L^("):
-            return None
+        """One base-power (e, c); "L^(" is the current token."""
+        start = self.i
+        self.i += 1
         e = self.exp()
         if e is E_ZERO:
             self.error("zero base-power exponent is not a term", start)
@@ -165,7 +164,7 @@ def _parse(rule, text, params):
     """Run one grammar rule over all of text; also return the claims."""
     p = _Parser(text, params)
     result = rule(p)
-    if p.pos < len(text):
+    if p.toks[p.i]:
         p.error("unexpected trailing input")
     return result, tuple(p.zero_claims)
 

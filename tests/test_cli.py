@@ -375,6 +375,21 @@ def test_enumerate_below_and_out(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("term, failure", [
+    ("psi(K+K; 0)", "regular base: K+K"),
+    ("phi(K,0)", "args below top: K"),
+])
+def test_below_and_descend_validate_their_term(term, failure):
+    # an invalid term fails with check's one line, and no census term is
+    # printed: the first term's comparisons are undecided, and the second
+    # would slice the census as K does
+    line = "fail %s: %s\n" % (term, failure)
+    assert run(["check", term]) == (1, line, "")
+    assert run(["enumerate", "--size-cap", "5", "--below", term]) == (
+        1, line, "")
+    assert run(["descend", term, "--size-cap", "5"]) == (1, line, "")
+
+
 def test_enumerate_below_slices_the_census(corpus4):
     # the census terms that compare below the bound, for 0, K, a census
     # term, and a term outside the census
@@ -512,8 +527,8 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["check", term])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout.startswith("ok ")
-    # parsing sets the cold limit of cmp, kset and mvec, 327 levels; a
-    # parser that spent one more frame per level would fail near 245
+    # cmp, kset and mvec at 320 levels, past check's cold limit of 245;
+    # the next test takes them to 450
     deep = ["psi(Om(1); " + "w^(" * k + "K+1" + ")" * k + ")"
             for k in (320, 319)]
     proc = _fresh_cli(["cmp"] + deep)
@@ -525,6 +540,26 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["kset", "0", deep[0]])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout == "{" + "w^(" * 320 + "K+1" + ")" * 320 + "}\n"
+
+
+def test_depth_450_in_fresh_process():
+    # the parser spends two frames per nesting level, ord and prin, so a
+    # cold process parses about 490 levels, and kset, mvec and cmp, which
+    # walks down two towers in one frame, handle as many; a parser that
+    # spent a third frame per level would fail near 327, and a comparator
+    # that recursed per level near 328
+    k = 450
+    tower = "w^(" * k + "K+1" + ")" * k
+    proc = _fresh_cli(["cmp", "psi(Om(1); %s)" % tower,
+                       "psi(Om(1); w^(%s))" % tower])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "<\n"
+    proc = _fresh_cli(["mvec", "psi(Om(1); %s)" % tower])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "[0,0]\n"
+    proc = _fresh_cli(["kset", "0", "psi(Om(1); %s)" % tower])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "{%s}\n" % tower
 
 
 def test_too_deep_input_is_a_usage_error():

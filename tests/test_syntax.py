@@ -143,6 +143,19 @@ ERROR_TABLE = [
      "coefficient vector has 1 entries, need 2 for N=4", 2),
     (parse_ord, 4, "psi(K; [L^(1)*(2)+ L^(0)*(1),0]; 1)", OrdSyntaxError,
      "zero base-power exponent is not a term", 19),
+    # a ")*(" whose ")" closes a term: the report points at its "*"
+    (parse_ord, 4, "w^(K)*(1)", OrdSyntaxError,
+     "unexpected trailing input", 5),
+    (parse_ord, 4, "phi(0,K)*(1)", OrdSyntaxError,
+     "unexpected trailing input", 8),
+    (parse_ord, 4, "psi(K; [L^(w^(1)*(2)),0]; 1)", OrdSyntaxError,
+     "expected ')*('", 16),
+    (parse_seq, 4, "[L^(1)*(Om(1)*(2)),0]", OrdSyntaxError,
+     "expected ')'", 13),
+    # a literal holds no blank
+    (parse_ord, 4, "psi(K; [L^(1) *(2),0]; 1)", OrdSyntaxError,
+     "expected ')*('", 12),
+    (parse_ord, 4, "psi (K; 0)", OrdSyntaxError, "expected a term", 0),
 ]
 
 
@@ -157,8 +170,8 @@ def test_error_reports(parse, n, text, cls, message, pos):
 
 # what a mutation puts between two tokens, or in place of one ("" deletes)
 BLANKS = st.text(" \t\n", max_size=2)
-EDITS = st.sampled_from(["phi(", "w^(", "Om(", "psi(", "L^(", ")*(", "0", "1",
-                         "K", "+", ",", ";", "(", ")", "[", "]", ""])
+EDITS = st.sampled_from(["phi(", "w^(", "Om(", "psi(", "L^(", ")*(", "*(", "*",
+                         "0", "1", "K", "+", ",", ";", "(", ")", "[", "]", ""])
 # operands of generated base-powers; zero ones are errors the parser reports
 ATOMS = st.sampled_from(["0", "1", "2", "K", "psi(K; 0)", "w^(K+1)"])
 BASE_POWERS = st.lists(st.tuples(ATOMS, ATOMS), min_size=1, max_size=3).map(
