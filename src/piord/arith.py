@@ -11,7 +11,7 @@ from .params import SystemParams
 # benchmark's layer map, perfbench/layers.json, names piord.arith.mk_sum.
 from .terms import (
     BIG_K, ONE, ZERO,
-    Psi, Veblen,
+    OmegaExp, Psi, Veblen,
     from_parts, is_strongly_critical, mk_eord, mk_omega_exp,
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
 )
@@ -164,7 +164,10 @@ MAX_STAGE = 1000
 def omega_tower(a, n):
     """n-fold omega-power of a."""
     for _ in range(n):
-        a = omega_exp(a)
+        # w^ of a term above K is above K and not strongly critical, so
+        # from the first omega-power level on, omega_exp would take its
+        # mk_omega_exp branch anyway; skip its comparison with K
+        a = mk_omega_exp(a) if type(a) is OmegaExp else omega_exp(a)
     return a
 
 

@@ -2,14 +2,14 @@
 
 Covers head/tail data, parts and iterated tail parts, the sequence orders,
 step-downs, the sp-relations, the head-exponent lexicographic order,
-towers, and irreducibility of coefficient vectors.
+CNF sums, and irreducibility of coefficient vectors.
 
 Every exponent is handled through its ``pairs``, the (exponent,
 coefficient) pairs with strictly decreasing exponents; a plain ordinal
 term is the degenerate single pair with exponent zero.
 """
 
-from .errors import CapExceeded, NoWitness, UndefinedOnZero
+from .errors import NoWitness, UndefinedOnZero
 from .terms import (
     E_ZERO, ONE, LamSum,
     is_zero_vec, mk_eord, mk_lamsum, strip_zeros,
@@ -22,12 +22,9 @@ __all__ = [
     "is_part", "all_parts", "iterated_tail_parts",
     "seq_lt", "seq_lt_k", "step_down", "vec_step_down",
     "sp_le", "sp_lt", "vec_sp", "sp_position", "lx_lt",
-    "lam_tower", "exp_succ", "exp_add", "drop_tail",
+    "exp_add", "drop_tail",
     "irreducible", "irreducible_reduct",
 ]
-
-TOWER_CAP = 64
-
 
 # ---------------------------------------------------------------------------
 # CNF pair view
@@ -282,26 +279,8 @@ def lx_lt(nu_vec, xi_vec):
 
 
 # ---------------------------------------------------------------------------
-# Towers, successors, CNF sums
+# CNF sums
 # ---------------------------------------------------------------------------
-
-def lam_tower(x, i):
-    """The i-fold base-exponential of x."""
-    if i > TOWER_CAP:
-        raise CapExceeded("tower height %d exceeds cap %d" % (i, TOWER_CAP))
-    for _ in range(i):
-        x = lam_of(x)
-    return x
-
-
-def exp_succ(x):
-    """x + 1 in the exponent algebra (may leave the strict grammar)."""
-    ps = x.pairs
-    if ps and ps[-1][0] is E_ZERO:
-        from .arith import add  # absorbing sum on the ordinal coefficient
-        return from_pairs(ps[:-1] + ((E_ZERO, add(ps[-1][1], ONE)),))
-    return from_pairs(ps + ((E_ZERO, ONE),))
-
 
 def exp_add(x, y):
     """CNF sum of exponents: summands of x below y's head are absorbed."""

@@ -13,10 +13,6 @@ class UndefinedOnZero(PiordError):
     """Head/tail data requested for the zero exponent."""
 
 
-class CapExceeded(PiordError):
-    """A tower iteration exceeded the configured cap."""
-
-
 class NoWitness(PiordError):
     """No part of the target witnesses the requested relation."""
 

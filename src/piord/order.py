@@ -284,7 +284,12 @@ def _k_delta(delta, alpha):
     if isinstance(alpha, Veblen):
         return _k_delta(delta, alpha.b) | _k_delta(delta, alpha.g)
     if isinstance(alpha, (OmegaExp, OmegaIdx)):
-        return _k_delta(delta, alpha.b)
+        # K(w^ b) = K(Om b) = K(b): walk down a tower of both in this
+        # frame, so that only the node below it gets a memo entry
+        alpha = alpha.b
+        while isinstance(alpha, (OmegaExp, OmegaIdx)):
+            alpha = alpha.b
+        return _k_delta(delta, alpha)
     return _k_delta_psi(delta, alpha)
 
 

@@ -64,8 +64,10 @@ class _Parser:
         else:
             self.error("expected %r" % lit)
 
-    def ord(self):
-        t = self.prin()
+    def ord(self, t=None):
+        """A term; t, when given, is its first summand, already parsed."""
+        if t is None:
+            t = self.prin()
         if self.toks[self.i] != "+":
             return t
         parts = [t]
@@ -79,7 +81,8 @@ class _Parser:
     def prin(self):
         # psi, the most common principal term, is tried first; a term that
         # closes with ")" parses its operand and then expects the ")", so
-        # each nesting level costs two frames, ord and prin
+        # each nesting level costs two frames, ord and prin, except in a
+        # run of "w^(" levels, which is parsed in this frame
         tok = self.toks[self.i]
         self.i += 1
         if tok == "psi(":
@@ -110,7 +113,19 @@ class _Parser:
             self.expect(")")
             return mk_veblen(b, a)
         if tok == "w^(":
+            # count the levels, parse the innermost operand, then close
+            # the levels outward; a "+" after a closed level continues the
+            # enclosing level's operand as a sum
+            k = 1
+            while self.toks[self.i] == "w^(":
+                self.i += 1
+                k += 1
             a = self.ord()
+            for _ in range(k - 1):
+                self.expect(")")
+                a = mk_omega_exp(a)
+                if self.toks[self.i] == "+":
+                    a = self.ord(a)
             self.expect(")")
             return mk_omega_exp(a)
         if not tok.isdecimal():

@@ -408,7 +408,11 @@ def _print_principal(t):
     if isinstance(t, Veblen):
         return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
     if isinstance(t, OmegaExp):
-        return "w^(%s)" % print_ord(t.b)
+        # a tower of k levels is printed in this frame
+        k, b = 1, t.b
+        while type(b) is OmegaExp:
+            k, b = k + 1, b.b
+        return "w^(" * k + print_ord(b) + ")" * k
     if isinstance(t, OmegaIdx):
         return "Om(%s)" % print_ord(t.b)
     if isinstance(t, Psi):

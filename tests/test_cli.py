@@ -543,11 +543,12 @@ def test_depth_230_in_fresh_process():
 
 
 def test_depth_450_in_fresh_process():
-    # the parser spends two frames per nesting level, ord and prin, so a
-    # cold process parses about 490 levels, and kset, mvec and cmp, which
-    # walks down two towers in one frame, handle as many; a parser that
-    # spent a third frame per level would fail near 327, and a comparator
-    # that recursed per level near 328
+    # the parser, the printer, K_delta and the comparator each walk a run
+    # of w^ levels in one frame, so cmp, kset and mvec are not limited by
+    # recursion on towers (the next test takes them to 900); a parser that
+    # spent two frames per level, ord and prin, failed near 491, one that
+    # spent three near 327, and a comparator that recursed per level near
+    # 328
     k = 450
     tower = "w^(" * k + "K+1" + ")" * k
     proc = _fresh_cli(["cmp", "psi(Om(1); %s)" % tower,
@@ -558,6 +559,22 @@ def test_depth_450_in_fresh_process():
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout == "[0,0]\n"
     proc = _fresh_cli(["kset", "0", "psi(Om(1); %s)" % tower])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "{%s}\n" % tower
+
+
+def test_depth_900_in_fresh_process():
+    # past the 491 levels of a parser that spent two frames per level
+    k = 900
+    tower = "w^(" * k + "K+1" + ")" * k
+    deep = "psi(Om(1); %s)" % tower
+    proc = _fresh_cli(["cmp", "psi(Om(1); w^(%s))" % tower, deep])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == ">\n"
+    proc = _fresh_cli(["mvec", deep])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "[0,0]\n"
+    proc = _fresh_cli(["kset", "0", deep])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout == "{%s}\n" % tower
 
@@ -573,7 +590,7 @@ def test_too_deep_input_is_a_usage_error():
 
 def test_props_at_rank_68_in_fresh_process():
     # 66-entry vectors: irreducibility compares tails with towers of up to
-    # 65 levels, more than lam_tower builds, by walking head exponents
+    # 65 levels, by walking head exponents instead of building them
     proc = _fresh_cli(["--big-n", "68", "props", "--size-cap", "3"])
     assert proc.returncode == 0, proc.stderr[-300:]
     lines = proc.stdout.splitlines()

@@ -12,9 +12,11 @@ import piord.oracle as oracle
 import piord.order as order
 import piord.terms as terms
 from piord.cli import main
-from piord.order import _MEMOS, _cmp_ord, _k_delta, clear_caches, trim_caches
+from piord.order import (
+    _MEMOS, _cmp_ord, _k_delta, clear_caches, k_delta, trim_caches,
+)
 from piord.params import SystemParams
-from piord.terms import Psi
+from piord.terms import ONE, ZERO, Psi, mk_omega_exp, mk_omega_idx
 from piord.oracle import (
     check_order_axioms, check_structural_props, enumerate_corpus,
 )
@@ -80,6 +82,26 @@ def test_results_do_not_depend_on_cache_state(n):
     finally:
         clear_caches()
     assert ascending == descending == warm
+
+
+def test_k_delta_stores_no_entry_per_tower_level(p4):
+    # K(w^ b) = K(Om b) = K(b): _k_delta walks down a tower in one frame,
+    # so a 400-level tower adds one entry, its top, to those of the node
+    # below it, not one per level
+    base = parse_ord("psi(K; 1)", p4)
+    towers = [base, base]
+    for _ in range(400):
+        towers = [mk_omega_exp(towers[0]), mk_omega_idx(towers[1])]
+    for delta in (ZERO, parse_ord("psi(K; 0)", p4)):
+        clear_caches()
+        expected = k_delta(delta, base)
+        entries = _k_delta.cache_info().currsize
+        for tower in towers:
+            clear_caches()
+            assert k_delta(delta, tower) == expected
+            assert _k_delta.cache_info().currsize == entries + 1
+    clear_caches()
+    assert expected == {ONE}
 
 
 def _props(n):

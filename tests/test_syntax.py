@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from piord.errors import ArityError, OrdSyntaxError
 from piord.params import SystemParams
-from piord.terms import BIG_K, E_ZERO, ONE, ZERO, Psi, mk_eord
+from piord.terms import (
+    BIG_K, E_ZERO, ONE, ZERO, Psi, from_parts, mk_eord, mk_omega_exp,
+)
 from piord.syntax import (
     parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
 )
@@ -63,6 +65,27 @@ def test_decimal_coalescing():
 def test_bound_print_form():
     from piord.arith import theorem_bound
     assert print_ord(theorem_bound(1, P4)) == "psi(Om(1); w^(K+1))"
+
+
+W, K1 = mk_omega_exp, from_parts((BIG_K, ONE))
+WK1 = W(from_parts((W(BIG_K), ONE)))
+
+
+@pytest.mark.parametrize("text, term", [
+    ("w^(K)", W(BIG_K)),
+    ("w^(w^(w^(K+1)))", W(W(W(K1)))),
+    ("w^(w^(K+1)+2)", W(from_parts((W(K1), ONE, ONE)))),
+    ("w^(w^(w^(K)+K)+1)", W(from_parts((W(from_parts((W(BIG_K), BIG_K))),
+                                        ONE)))),
+    ("w^(w^(w^(K+1))+w^(K)+1)", W(from_parts((W(W(K1)), W(BIG_K), ONE)))),
+    ("w^(w^(w^(K)+1)+w^(w^(K)+1))+w^(K)",
+     from_parts((W(from_parts((WK1, WK1))), W(BIG_K)))),
+])
+def test_tower_roundtrip(text, term):
+    # towers whose levels hold sums: a "+" after a closed level continues
+    # the enclosing level's operand
+    assert parse_ord(text, P4) is term
+    assert print_ord(term) == text
 
 
 def test_seq_parse():
@@ -156,6 +179,21 @@ ERROR_TABLE = [
     (parse_ord, 4, "psi(K; [L^(1) *(2),0]; 1)", OrdSyntaxError,
      "expected ')*('", 12),
     (parse_ord, 4, "psi (K; 0)", OrdSyntaxError, "expected a term", 0),
+    # malformed towers: an unclosed level, a level's sum missing a term or
+    # holding a zero, and a level closed by the wrong token
+    (parse_ord, 4, "w^(w^(K+1)", OrdSyntaxError, "expected ')'", 10),
+    (parse_ord, 4, "w^(w^(w^(K)", OrdSyntaxError, "expected ')'", 11),
+    (parse_ord, 4, "w^(w^(K)+1", OrdSyntaxError, "expected ')'", 10),
+    (parse_ord, 4, "w^(w^(K)+)", OrdSyntaxError, "expected a term", 9),
+    (parse_ord, 4, "w^(w^(K) + )", OrdSyntaxError, "expected a term", 11),
+    (parse_ord, 4, "w^(w^()", OrdSyntaxError, "expected a term", 6),
+    (parse_ord, 4, "w^(w^(K)+0)", OrdSyntaxError,
+     "zero cannot appear inside a sum", 10),
+    (parse_ord, 4, "w^(w^(w^(K)+K+0)+1)", OrdSyntaxError,
+     "zero cannot appear inside a sum", 15),
+    (parse_ord, 4, "w^(w^(K))+0", OrdSyntaxError,
+     "zero cannot appear inside a sum", 11),
+    (parse_ord, 4, "w^(w^(K);1)", OrdSyntaxError, "expected ')'", 8),
 ]
 
 
