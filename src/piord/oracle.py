@@ -612,15 +612,24 @@ def sd_cross_check(corpus):
 
 def _sparse_vectors(exps, length, nonzero):
     """The vectors of ``itertools.product(exps, repeat=length)`` with at
-    most nonzero entries other than E_ZERO, in the same order."""
-    if not length:
+    most nonzero entries other than E_ZERO, in the same order, where
+    exps[0] is E_ZERO (as in every exponent pool).  Each vector is built
+    in one step from its non-zero entries."""
+    def entries(start, left):
+        # the non-zero (position, exponent) pairs from start on, in product
+        # order: none, then the first at the last position, and so on down
         yield ()
-        return
-    for x in exps:
-        left = nonzero - (x is not E_ZERO)
-        if left >= 0:
-            for rest in _sparse_vectors(exps, length - 1, left):
-                yield (x,) + rest
+        if left:
+            for i in reversed(range(start, length)):
+                for x in exps[1:]:
+                    for rest in entries(i + 1, left - 1):
+                        yield ((i, x),) + rest
+
+    for nz in entries(0, nonzero):
+        vec = [E_ZERO] * length
+        for i, x in nz:
+            vec[i] = x
+        yield tuple(vec)
 
 
 # ---------------------------------------------------------------------------

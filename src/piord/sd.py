@@ -113,16 +113,13 @@ def sd_necessary_conditions(seq):
     seq = tuple(seq)
     n = len(seq)
 
-    # proper prefixes only: i = n would ask for the vector's own derivation
-    prefix_ok = True
-    for i in range(n):
-        filled = seq[:i] + (E_ZERO,) * (n - i)
-        if _search(filled) is None:
-            prefix_ok = False
-            break
+    # the zero-padded prefixes that end before the last non-zero entry: a
+    # longer one is the vector itself, whose derivation is not a condition
+    nz = [j for j, e in enumerate(seq) if e is not E_ZERO]
+    prefix_ok = all(_search(seq[:i] + (E_ZERO,) * (n - i)) is not None
+                    for i in range(nz[-1] + 1 if nz else 0))
 
     gap_ok = True
-    nz = [j for j, e in enumerate(seq) if e is not E_ZERO]
     if nz:
         lo, hi = nz[0], nz[-1]
         gap_ok = all(seq[j] is not E_ZERO for j in range(lo, hi + 1))

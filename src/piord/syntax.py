@@ -27,14 +27,18 @@ __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
 # A numeral n builds a sum of n ones, so its value is bounded before the
 # sum is allocated; the cap-11 census writes no numeral above 3.
 MAX_NUMERAL = 1000
+_MAX_DIGITS = len(str(MAX_NUMERAL))
 
 
 # One pattern splits an operand into tokens, each after the blanks in front
-# of it: the multi-character literals, a digit run, any other single
-# character (the one-character literals among them), and an empty token at
-# the end.  ")*(" is one token; where its ")" closes a term, the parser
-# consumes that ")" and leaves "*(" in its place.
-_TOKEN = re.compile(r"\s*(psi\(|phi\(|w\^\(|Om\(|L\^\(|\)\*\(|\d+|.|\Z)")
+# of it: the one-character literals (first, as the most frequent), the
+# multi-character literals, a digit run, any other single character, and an
+# empty token at the end.  A run of "w^(" is one token, and so is a run of
+# ")", except that it leaves its last ")" to a ")*(" that follows; ")*(" is
+# one token.  Where the parser needs one ")" of a token, it leaves the rest
+# of the token in its place, so a "*(" may remain of a ")*(".
+_TOKEN = re.compile(r"\s*([K;+,\[\]]|psi\(|phi\(|w\^\((?:w\^\()*|Om\(|L\^\("
+                    r"|\)(?:\*\(|\)*(?!\*\())|\d+|.|\Z)")
 
 
 class _Parser:
@@ -49,18 +53,19 @@ class _Parser:
 
     def error(self, message, i=None, cls=OrdSyntaxError):
         """Raise at token i, the current one by default.  Positions are
-        found only here, by scanning the text again."""
+        found only here, by scanning the text again; a token that is partly
+        consumed is reported where its rest starts."""
         i = self.i if i is None else i
-        pos = [m.start(1) for m in _TOKEN.finditer(self.text)][i]
-        # a "*(" token starts one character into its ")*("
-        raise cls(message, pos + (self.toks[i] == "*("))
+        end = [m.end(1) for m in _TOKEN.finditer(self.text)][i]
+        raise cls(message, end - len(self.toks[i]))
 
     def expect(self, lit):
         tok = self.toks[self.i]
         if tok == lit:
             self.i += 1
-        elif lit == ")" and tok == ")*(":
-            self.toks[self.i] = "*("
+        elif lit == ")" and tok[:1] == ")":
+            # one ")" of a run or of a ")*(": the rest stays current
+            self.toks[self.i] = tok[1:]
         else:
             self.error("expected %r" % lit)
 
@@ -82,7 +87,7 @@ class _Parser:
         # psi, the most common principal term, is tried first; a term that
         # closes with ")" parses its operand and then expects the ")", so
         # each nesting level costs two frames, ord and prin, except in a
-        # run of "w^(" levels, which is parsed in this frame
+        # tower of "w^(" levels, which is parsed in one frame
         tok = self.toks[self.i]
         self.i += 1
         if tok == "psi(":
@@ -113,28 +118,46 @@ class _Parser:
             self.expect(")")
             return mk_veblen(b, a)
         if tok == "w^(":
-            # count the levels, parse the innermost operand, then close
-            # the levels outward; a "+" after a closed level continues the
-            # enclosing level's operand as a sum
-            k = 1
-            while self.toks[self.i] == "w^(":
-                self.i += 1
-                k += 1
-            a = self.ord()
-            for _ in range(k - 1):
-                self.expect(")")
-                a = mk_omega_exp(a)
-                if self.toks[self.i] == "+":
-                    a = self.ord(a)
-            self.expect(")")
-            return mk_omega_exp(a)
+            return self.tower(1)
         if not tok.isdecimal():
+            if tok[:3] == "w^(":
+                return self.tower(len(tok) // 3)
             self.error("expected a term", self.i - 1)
-        digits = tok.lstrip("0") or "0"
         # the length test comes first: a long run is never converted
-        if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+        n = int(tok) if len(tok.lstrip("0")) <= _MAX_DIGITS else None
+        if n is None or n > MAX_NUMERAL:
             self.error("numeral above %d" % MAX_NUMERAL, self.i - 1)
-        return from_parts((ONE,) * int(digits))
+        return from_parts((ONE,) * n)
+
+    def tower(self, k):
+        """A tower whose first k "w^(" levels are consumed: add the levels
+        of the "w^(" tokens that follow, parse the innermost operand, then
+        close as many levels per ")" token as it holds.  A "+" after a
+        closed level continues the enclosing level's operand as a sum."""
+        tok = self.toks[self.i]
+        while tok[:3] == "w^(":
+            k += len(tok) // 3
+            self.i += 1
+            tok = self.toks[self.i]
+        a = self.ord()
+        while True:
+            tok = self.toks[self.i]
+            if tok[:2] == "))":
+                closed = min(len(tok), k)
+                if closed == len(tok):
+                    self.i += 1
+                else:
+                    self.toks[self.i] = tok[closed:]
+            else:
+                self.expect(")")
+                closed = 1
+            for _ in range(closed):
+                a = mk_omega_exp(a)
+            k -= closed
+            if not k:
+                return a
+            if self.toks[self.i] == "+":
+                a = self.ord(a)
 
     def seq(self):
         start = self.i

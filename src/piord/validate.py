@@ -119,9 +119,17 @@ def _check_veblen(t, params):
 
 
 def _check_omega_exp(t, params):
-    bad = _sub_ok(RULE_OMEGA_EXP, t.b, params)
-    if bad:
-        return bad
+    # walk down a tower of w^ levels to its innermost exponent b in this
+    # frame, so that only the top gets a memo entry.  A level above the
+    # innermost has a w^ term as its exponent, which the comparator puts
+    # above the top by its stratum alone, so every level is valid, and so
+    # is t.b, when b is valid and above the top
+    b = t.b
+    while type(b) is OmegaExp:
+        b = b.b
+    if not check_ot(b, params).ok or (
+            b is not t.b and cmp_ord(b, BIG_K) != GT):
+        return _fail(RULE_OMEGA_EXP, "subterm", "invalid subterm %r" % (t.b,))
     if cmp_ord(t.b, BIG_K) != GT:
         return _fail(RULE_OMEGA_EXP, "exponent above top", repr(t.b))
     return ValidationReport(RULE_OMEGA_EXP)

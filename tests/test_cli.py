@@ -518,8 +518,8 @@ def test_closed_stdout_exits_1_without_traceback():
 
 
 def test_depth_230_in_fresh_process():
-    # a cold process handles up to 244 tower levels; a memo wrapper that
-    # added a frame per recursion level would lower that limit
+    # bound, check, cmp, kset and mvec on towers in cold processes; the
+    # next tests take towers deeper
     proc = _fresh_cli(["bound", "--n", "230"])
     assert proc.returncode == 0, proc.stderr[-300:]
     term = proc.stdout.strip()
@@ -527,8 +527,7 @@ def test_depth_230_in_fresh_process():
     proc = _fresh_cli(["check", term])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout.startswith("ok ")
-    # cmp, kset and mvec at 320 levels, past check's cold limit of 245;
-    # the next test takes them to 450
+    # cmp, kset and mvec at 320 levels
     deep = ["psi(Om(1); " + "w^(" * k + "K+1" + ")" * k + ")"
             for k in (320, 319)]
     proc = _fresh_cli(["cmp"] + deep)
@@ -580,12 +579,28 @@ def test_depth_900_in_fresh_process():
 
 
 def test_too_deep_input_is_a_usage_error():
-    # 300 tower levels exceed the recursion limit of a cold process
-    proc = _fresh_cli(["bound", "--n", "300"])
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # towers are walked in one frame, but every other nesting level costs
+    # frames: 600 nested Om( exceed the recursion limit of a cold parser,
+    # and 300 that of a cold validator
+    for argv in (["cmp", "Om(" * 600 + "1" + ")" * 600, "1"],
+                 ["check", "Om(" * 300 + "1" + ")" * 300]):
+        proc = _fresh_cli(argv)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_bound_at_max_stage_in_fresh_process():
+    # the largest stage: 1000 tower levels, built, printed, parsed and
+    # validated each in one frame per tower
+    proc = _fresh_cli(["bound", "--n", str(MAX_STAGE)])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    term = proc.stdout.strip()
+    assert term.count("w^(") == MAX_STAGE
+    proc = _fresh_cli(["check", term])
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "ok %s (Psi9)\n" % term
 
 
 def test_props_at_rank_68_in_fresh_process():

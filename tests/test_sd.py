@@ -66,6 +66,21 @@ def test_necessary_conditions():
     assert sd_necessary_conditions(vec).all_hold
 
 
+def test_prefix_condition_ends_before_the_last_non_zero_entry():
+    # with a last entry 0, zero-padding a prefix that reaches past the last
+    # non-zero entry gives the vector back, whose own derivation is no
+    # condition: these vectors are not derivable, but their shorter
+    # prefixes are
+    for vec in ((E1, E_ZERO), (E_ZERO, E1, E_ZERO),
+                (lam(EK, BIG_K), E_ZERO, E_ZERO)):
+        assert in_sd(vec) is None
+        assert sd_necessary_conditions(vec).prefixes_in_sd, vec
+    # a shorter prefix still counts: [1,0,0] is not derivable
+    assert in_sd((E1, E_ZERO, E_ZERO)) is None
+    vec = (E1, lam(EK, BIG_K), E_ZERO)
+    assert not sd_necessary_conditions(vec).prefixes_in_sd
+
+
 def test_accepted_implies_conditions(corpus4):
     for vec in corpus4.seqs:
         if in_sd(vec) is not None:

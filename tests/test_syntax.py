@@ -194,6 +194,28 @@ ERROR_TABLE = [
     (parse_ord, 4, "w^(w^(K))+0", OrdSyntaxError,
      "zero cannot appear inside a sum", 11),
     (parse_ord, 4, "w^(w^(K);1)", OrdSyntaxError, "expected ')'", 8),
+    # runs of "w^(" and of ")": levels split by blanks, an unclosed run, a
+    # run with a ")" too many or too few before a ")*(", and reports at the
+    # first ")" of a run that the levels do not consume
+    (parse_ord, 4, "w^( w^(K+1)", OrdSyntaxError, "expected ')'", 11),
+    (parse_ord, 4, "w^( w^(K+1) ) )", OrdSyntaxError,
+     "unexpected trailing input", 14),
+    (parse_ord, 4, "w^( w^( w^(K+1)) +0)", OrdSyntaxError,
+     "zero cannot appear inside a sum", 19),
+    (parse_ord, 4, "w^(w^(w^(K+1)", OrdSyntaxError, "expected ')'", 13),
+    (parse_ord, 4, "w^(w^(w^(K+1))", OrdSyntaxError, "expected ')'", 14),
+    (parse_seq, 4, "[L^(w^(w^(K+1))))*(1),0]", OrdSyntaxError,
+     "expected ')*('", 15),
+    (parse_seq, 4, "[L^(w^(w^(K+1))*(1),0]", OrdSyntaxError,
+     "expected ')*('", 15),
+    (parse_ord, 4, "psi(K; [L^(w^(w^(K+1)))*(0),0]; 1)", OrdSyntaxError,
+     "zero base-power coefficient is not a term", 8),
+    (parse_ord, 4, "phi(0,w^(w^(K+1))))", OrdSyntaxError,
+     "unexpected trailing input", 18),
+    (parse_ord, 4, "w^(w^(w^(K))))", OrdSyntaxError,
+     "unexpected trailing input", 13),
+    (parse_ord, 4, "w^(w^(K+1)))*(1)", OrdSyntaxError,
+     "unexpected trailing input", 11),
 ]
 
 
