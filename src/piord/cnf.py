@@ -252,7 +252,7 @@ def lx_lt(nu_vec, xi_vec):
 
     Vectors are logically indexed 2..N-1.  Equal vectors compare False, as
     does the case where xi vanishes from the first difference on (the
-    definition leaves it open; see the decisions ledger).
+    definition leaves it open; see the decisions ledger in the README).
     """
     if len(nu_vec) != len(xi_vec):
         raise IndexError("vectors must have equal length")

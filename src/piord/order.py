@@ -299,7 +299,8 @@ def _k_delta_psi(delta, alpha):
     if rule_tag(alpha) is None:
         raise InvalidTerm("no formation rule shapes %r" % (alpha,))
     # uniform clause {a} u K(a, pi) u K(vector components); the top-collapse
-    # case needs K(a) too or comparison completeness fails (see ledger)
+    # case needs K(a) too or comparison completeness fails (README,
+    # decisions ledger)
     a = alpha.a
     r = frozenset((a,)) | _k_delta(delta, a) | _k_delta(delta, alpha.pi)
     for g in alpha.nu_comps:

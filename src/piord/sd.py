@@ -114,10 +114,13 @@ def sd_necessary_conditions(seq):
     n = len(seq)
 
     # the zero-padded prefixes that end before the last non-zero entry: a
-    # longer one is the vector itself, whose derivation is not a condition
+    # longer one is the vector itself, whose derivation is not a condition.
+    # The prefix of length i is that of length i + 1 when entry i is zero,
+    # so only i = 0 and i = j + 1 for a non-zero entry j give a new one
     nz = [j for j, e in enumerate(seq) if e is not E_ZERO]
+    cuts = [0] + [j + 1 for j in nz[:-1]] if nz else []
     prefix_ok = all(_search(seq[:i] + (E_ZERO,) * (n - i)) is not None
-                    for i in range(nz[-1] + 1 if nz else 0))
+                    for i in cuts)
 
     gap_ok = True
     if nz:

@@ -16,6 +16,7 @@ they are every node's ``repr``, and exported from here as well.
 import re
 
 from .errors import ArityError, OrdSyntaxError
+from .order import memo
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     from_parts, is_zero_vec, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx,
@@ -198,8 +199,13 @@ class _Parser:
         return (e, c)
 
 
+@memo
 def _parse(rule, text, params):
-    """Run one grammar rule over all of text; also return the claims."""
+    """Run one grammar rule over all of text; also return the claims.
+
+    A memo table, so a spelling seen before costs one lookup: the result
+    is made of interned terms, which outlive the table.  A failed parse
+    raises and stores nothing."""
     p = _Parser(text, params)
     result = rule(p)
     if p.toks[p.i]:

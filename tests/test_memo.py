@@ -20,7 +20,9 @@ from piord.terms import ONE, ZERO, Psi, mk_omega_exp, mk_omega_idx
 from piord.oracle import (
     check_order_axioms, check_structural_props, enumerate_corpus,
 )
-from piord.syntax import parse_ord
+from piord.syntax import (
+    _parse, parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
+)
 from piord.validate import check_ot
 
 
@@ -34,10 +36,10 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
     corpus = enumerate_corpus(p4, 7)
     cold = _reports(corpus)
     warm = _reports(corpus)
-    assert {m.__name__ for m in _MEMOS} == {
-        "_cmp_ord", "_k_delta", "check_ot", "check_exp", "_search"}
-    assert all(m.cache_info().currsize > 0 for m in _MEMOS)
     term = parse_ord("psi(K; [0,1]; 1)", p4)
+    assert {m.__name__ for m in _MEMOS} == {
+        "_cmp_ord", "_k_delta", "check_ot", "check_exp", "_search", "_parse"}
+    assert all(m.cache_info().currsize > 0 for m in _MEMOS)
 
     clear_caches()
     assert all(m.cache_info().currsize == 0 for m in _MEMOS)
@@ -82,6 +84,49 @@ def test_results_do_not_depend_on_cache_state(n):
     finally:
         clear_caches()
     assert ascending == descending == warm
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_parse_table_gives_the_objects_of_a_fresh_parse(monkeypatch, n):
+    # every census spelling, and two that claim a rule with an explicit
+    # zero vector, parsed by all three entry points
+    params = SystemParams(n)
+    corpus = enumerate_corpus(params, 9)
+    zero = "[%s]" % ",".join("0" * (n - 2))
+    ords = [print_ord(t) for t in corpus.terms] + [
+        "psi(K; %s; 1)" % zero,
+        "psi(Om(1); %s; psi(K; %s; 1)) + 1" % (zero, zero)]
+    seqs = [print_seq(v) for v in corpus.seqs]
+
+    def objects():
+        """The ids of every object each parse returns, in order."""
+        return ([id(parse_ord(text, params)) for text in ords],
+                [tuple(map(id, (t,) + claims)) for t, claims in
+                 (parse_ord_claims(text, params) for text in ords)],
+                [tuple(map(id, parse_seq(text, params))) for text in seqs])
+
+    clear_caches()
+    cold = objects()
+    entries = _parse.cache_info().currsize
+    assert entries == len(set(ords)) + len(set(seqs))
+    hits = _parse.cache_info().hits
+    warm = objects()
+    assert _parse.cache_info().hits == hits + 2 * len(ords) + len(seqs)
+    assert _parse.cache_info().currsize == entries
+    clear_caches()
+    assert _parse.cache_info().currsize == 0
+    cleared = objects()
+    monkeypatch.setattr(order, "MEMO_BOUND", entries - 1)
+    trim_caches()
+    assert _parse.cache_info().currsize == 0
+    trimmed = objects()
+    clear_caches()
+    assert cold[0][:-2] == [id(t) for t in corpus.terms]
+    assert cold[2] == [tuple(map(id, v)) for v in corpus.seqs]
+    # the two explicit zero vectors are claimed, the census spells none
+    assert [len(ids) for ids in cold[1][-2:]] == [2, 3]
+    assert all(len(ids) == 1 for ids in cold[1][:-2])
+    assert cold == warm == cleared == trimmed
 
 
 def test_k_delta_stores_no_entry_per_tower_level(p4):

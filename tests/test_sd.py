@@ -1,6 +1,10 @@
+import pytest
+
 from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord, mk_lamsum
 from piord.sd import Base, Extend, in_sd, replay, sd_necessary_conditions
 from piord.arith import from_int
+from piord.oracle import _exp_pool, _sparse_vectors, enumerate_corpus
+from piord.params import SystemParams
 
 E1 = mk_eord(ONE)
 E2 = mk_eord(from_int(2))
@@ -85,3 +89,25 @@ def test_accepted_implies_conditions(corpus4):
     for vec in corpus4.seqs:
         if in_sd(vec) is not None:
             assert sd_necessary_conditions(vec).all_hold
+
+
+def _prefixes_in_sd_per_length(seq):
+    """The prefix condition as stated: one search per prefix length up to
+    the last non-zero entry, including the lengths that repeat a prefix."""
+    n = len(seq)
+    nz = [j for j, e in enumerate(seq) if e is not E_ZERO]
+    return all(in_sd(seq[:i] + (E_ZERO,) * (n - i)) is not None
+               for i in range(nz[-1] + 1 if nz else 0))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_prefix_condition_matches_the_per_length_reference(n):
+    # the census vectors, and the sparse vectors of the SD cross-check
+    corpus = enumerate_corpus(SystemParams(n), 9)
+    exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
+    vecs = list(corpus.seqs) + list(_sparse_vectors(exps, n - 2, 2))
+    want = [_prefixes_in_sd_per_length(vec) for vec in vecs]
+    got = [sd_necessary_conditions(vec).prefixes_in_sd for vec in vecs]
+    assert got == want
+    # both outcomes occur from N=4 on
+    assert n == 3 or len(set(want)) == 2

@@ -9,7 +9,7 @@ from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO, Psi, from_parts, mk_eord, mk_omega_exp,
 )
 from piord.syntax import (
-    parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
+    _parse, parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
 )
 from piord.arith import from_int, psi0
 
@@ -221,11 +221,16 @@ ERROR_TABLE = [
 
 @pytest.mark.parametrize("parse, n, text, cls, message, pos", ERROR_TABLE)
 def test_error_reports(parse, n, text, cls, message, pos):
-    with pytest.raises(OrdSyntaxError) as exc:
-        parse(text, SystemParams(n))
-    assert type(exc.value) is cls
-    assert str(exc.value) == "%s (at position %d)" % (message, pos)
-    assert exc.value.pos == pos
+    # twice: a failed parse stores nothing in the parse table, so the
+    # second raises the same report
+    entries = _parse.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(OrdSyntaxError) as exc:
+            parse(text, SystemParams(n))
+        assert type(exc.value) is cls
+        assert str(exc.value) == "%s (at position %d)" % (message, pos)
+        assert exc.value.pos == pos
+    assert _parse.cache_info().currsize == entries
 
 
 # what a mutation puts between two tokens, or in place of one ("" deletes)
