@@ -11,7 +11,7 @@ from .order import EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta
 from .validate import ValidationReport, check_ot, rule_vs_series
 from .arith import (
     add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
-    psi, psi0, psiK, psi_sd, psi_step, succ, theorem_bound, veblen,
+    psi, psi0, psiK, psi_sd, psi_step, theorem_bound, veblen,
 )
 from .sd import in_sd, replay, sd_necessary_conditions
 from .syntax import parse_ord, parse_seq, print_ord, print_seq

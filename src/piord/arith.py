@@ -16,28 +16,15 @@ from .terms import (
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
 )
 from .order import GT, LT, PSI10, PSI11, cmp_ord
-from .cnf import exp_add, from_pairs
+# add is defined beside exp_add, which calls it
+from .cnf import add, exp_add, from_pairs
 from .validate import ValidationReport, check_ot
 
 __all__ = [
-    "add", "natural_sum", "succ", "from_int", "omega_exp", "veblen",
+    "add", "natural_sum", "from_int", "omega_exp", "veblen",
     "omega_idx", "psi", "psi0", "psiK", "step_vector", "psi_step", "psi_sd",
     "omega_tower", "theorem_bound",
 ]
-
-
-def add(a, b):
-    """CNF sum: summands of a strictly below b's head are absorbed."""
-    pa, pb = a.parts, b.parts
-    if not pb:
-        return a
-    if not pa:
-        return b
-    head = pb[0]
-    j = len(pa)
-    while j > 0 and cmp_ord(pa[j - 1], head) == LT:
-        j -= 1
-    return from_parts(pa[:j] + pb)
 
 
 def natural_sum(a, b):
@@ -55,10 +42,6 @@ def natural_sum(a, b):
     merged.extend(pa[i:])
     merged.extend(pb[j:])
     return from_parts(tuple(merged))
-
-
-def succ(a):
-    return add(a, ONE)
 
 
 def from_int(k):

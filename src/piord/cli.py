@@ -48,7 +48,7 @@ def main(argv=None, stdout=None, stderr=None):
         if args is None:                # --help has printed its text
             return 0
         params = SystemParams(args.big_n)
-    except (ValueError, PiordError) as exc:
+    except PiordError as exc:
         stderr.write("error: %s\n" % (exc,))
         return 2
     if args.format == "json-lines":

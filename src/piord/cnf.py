@@ -12,7 +12,7 @@ term is the degenerate single pair with exponent zero.
 from .errors import NoWitness, UndefinedOnZero
 from .terms import (
     E_ZERO, ONE, LamSum,
-    is_zero_vec, mk_eord, mk_lamsum, strip_zeros,
+    from_parts, is_zero_vec, mk_eord, mk_lamsum, strip_zeros,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord
 
@@ -282,6 +282,20 @@ def lx_lt(nu_vec, xi_vec):
 # CNF sums
 # ---------------------------------------------------------------------------
 
+def add(a, b):
+    """CNF sum: summands of a strictly below b's head are absorbed."""
+    pa, pb = a.parts, b.parts
+    if not pb:
+        return a
+    if not pa:
+        return b
+    head = pb[0]
+    j = len(pa)
+    while j > 0 and cmp_ord(pa[j - 1], head) == LT:
+        j -= 1
+    return from_parts(pa[:j] + pb)
+
+
 def exp_add(x, y):
     """CNF sum of exponents: summands of x below y's head are absorbed."""
     if y is E_ZERO:
@@ -294,7 +308,6 @@ def exp_add(x, y):
     while j > 0 and cmp_exp(px[j - 1][0], h) == LT:
         j -= 1
     if j > 0 and cmp_exp(px[j - 1][0], h) == EQ:
-        from .arith import add
         merged = (h, add(px[j - 1][1], py[0][1]))
         return from_pairs(px[:j - 1] + (merged,) + py[1:])
     return from_pairs(px[:j] + py)

@@ -50,11 +50,11 @@ class OutOfRange(PiordError):
 
 
 class BudgetExceeded(PiordError):
-    """Enumeration exceeded its configured term budget."""
+    """Enumeration exceeded its term budget."""
 
 
 class LimitExceeded(PiordError):
-    """An input number lies above its stated limit."""
+    """An input number lies outside its stated limits."""
 
 
 class OrdSyntaxError(PiordError):

@@ -74,7 +74,7 @@ class Corpus(namedtuple("Corpus", "params size_cap terms seqs")):
         return bisect.bisect_left(self.terms, key(t), key=key)
 
 
-def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
+def enumerate_corpus(params, size_cap):
     """Census of every validated term with at most size_cap symbols."""
     ot_by_size = {s: [] for s in range(size_cap + 1)}
     e_by_size = {s: [] for s in range(size_cap + 1)}
@@ -85,9 +85,9 @@ def enumerate_corpus(params, size_cap, budget=DEFAULT_BUDGET):
         if check_ot(t, params).ok:
             ot_by_size[s].append(t)
             count += 1
-            if count > budget:
-                raise BudgetExceeded(
-                    "more than %d terms below size %d" % (budget, size_cap))
+            if count > DEFAULT_BUDGET:
+                raise BudgetExceeded("more than %d terms below size %d"
+                                     % (DEFAULT_BUDGET, size_cap))
             return True
         return False
 

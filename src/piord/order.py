@@ -20,7 +20,6 @@ __all__ = [
     "LT", "EQ", "GT", "cmp_ord", "cmp_exp", "lt", "le",
     "k_delta", "k_delta_set", "k_delta_exp", "kset_below", "ks_below",
     "rule_tag", "hull_member", "clear_caches", "trim_caches", "MEMO_BOUND",
-    "max_term",
 ]
 
 LT, EQ, GT = -1, 0, 1
@@ -240,17 +239,6 @@ def cmp_exp(x, y):
     if len(xp) == len(yp):
         return EQ
     return GT if len(xp) > len(yp) else LT
-
-
-def max_term(items):
-    """Maximum of a non-empty iterable of ordinal terms under cmp_ord."""
-    best = None
-    for t in items:
-        if best is None or cmp_ord(t, best) == GT:
-            best = t
-    if best is None:
-        raise ValueError("max of empty term collection")
-    return best
 
 
 # ---------------------------------------------------------------------------

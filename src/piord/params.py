@@ -21,7 +21,7 @@ class SystemParams(namedtuple("SystemParams", "n")):
 
     def __new__(cls, n=4):
         if n < 3:
-            raise ValueError("N must be at least 3, got %r" % (n,))
+            raise LimitExceeded("N must be at least 3, got %r" % (n,))
         if n > MAX_N:
             raise LimitExceeded("N must be at most %d, got %r" % (MAX_N, n))
         return super().__new__(cls, n)

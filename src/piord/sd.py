@@ -122,18 +122,8 @@ def sd_necessary_conditions(seq):
     prefix_ok = all(_search(seq[:i] + (E_ZERO,) * (n - i)) is not None
                     for i in cuts)
 
-    gap_ok = True
-    if nz:
-        lo, hi = nz[0], nz[-1]
-        gap_ok = all(seq[j] is not E_ZERO for j in range(lo, hi + 1))
-
-    tail_ok = True
-    for j, e in enumerate(seq):
-        if e is E_ZERO or j == n - 1:
-            continue
-        t = te(e)
-        if not vec_step_down(seq[j + 1:], t):
-            tail_ok = False
-            break
-
+    # the non-zero entries are consecutive
+    gap_ok = not nz or nz[-1] - nz[0] == len(nz) - 1
+    tail_ok = all(vec_step_down(seq[j + 1:], te(seq[j]))
+                  for j in nz if j < n - 1)
     return SdConditions(prefix_ok, gap_ok, tail_ok, irreducible(seq))

@@ -118,11 +118,9 @@ class _Parser:
             a = self.ord()
             self.expect(")")
             return mk_veblen(b, a)
-        if tok == "w^(":
-            return self.tower(1)
+        if tok[:3] == "w^(":
+            return self.tower(len(tok) // 3)
         if not tok.isdecimal():
-            if tok[:3] == "w^(":
-                return self.tower(len(tok) // 3)
             self.error("expected a term", self.i - 1)
         # the length test comes first: a long run is never converted
         n = int(tok) if len(tok.lstrip("0")) <= _MAX_DIGITS else None

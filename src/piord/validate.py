@@ -6,6 +6,7 @@ component sets and recorded coefficients live in :mod:`piord.order` and
 :mod:`piord.terms`.
 """
 
+import functools
 from collections import namedtuple
 
 from .terms import (
@@ -20,7 +21,7 @@ from .terms import (
 from .order import (
     GT, LT,
     cmp_exp, cmp_ord, k_delta, k_delta_exp, k_delta_set, ks_below,
-    max_term, memo, rule_tag,
+    memo, rule_tag,
     PSI9, PSI10, PSI11, PSI12,
 )
 from .cnf import is_strict_exp, pairs, vec_sp
@@ -262,7 +263,7 @@ def _check_psi12(t, params):
     for i, e in enumerate(t.nu, 2):
         if e is E_ZERO:
             continue
-        top = max_term(e.comps)
+        top = max(e.comps, key=functools.cmp_to_key(cmp_ord))
         if not ks_below(t, e.comps, top):
             return _fail(PSI12, "K_a(nu_%d) < max K(nu_%d)" % (i, i),
                          repr(top))

@@ -8,7 +8,7 @@ from piord.order import EQ, GT, LT, cmp_ord, le, lt
 from piord.validate import check_ot
 from piord.arith import (
     add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
-    psi0, psi_step, succ, theorem_bound, veblen,
+    psi0, psi_step, theorem_bound, veblen,
 )
 from piord.syntax import parse_ord
 
@@ -25,6 +25,11 @@ def test_add_identity_and_absorption():
     assert add(ONE, ONE) is from_int(2)
     assert add(ONE, BIG_K) is BIG_K              # absorbed below larger head
     assert add(BIG_K, ONE) is t("K+1")
+
+
+def test_from_int_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        from_int(-1)
 
 
 def test_natural_sum_keeps_everything():

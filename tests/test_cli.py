@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import io
 import json
@@ -188,13 +189,19 @@ def _plan():
     return plan
 
 
-def test_table_parser_matches_argparse():
-    ref = _reference_parser()
+def _query_argvs():
+    """The argv of the first 3000 operations of the query benchmark's plan
+    at seed 101."""
     plan = _plan()
     census = [print_ord(t)
               for t in enumerate_corpus(SystemParams(4), plan.CENSUS_CAP).terms]
     ops = plan.operations(101, census)
-    argvs = [op["argv"] for op, _ in zip(ops, range(3000))]
+    return [op["argv"] for op, _ in zip(ops, range(3000))]
+
+
+def test_table_parser_matches_argparse():
+    ref = _reference_parser()
+    argvs = _query_argvs()
     for argv in TABLE_ARGVS:
         argvs += _both_forms(argv)
     for argv in argvs:
@@ -206,6 +213,22 @@ def test_table_parser_matches_argparse():
             cli._parse(argv, None)
         with pytest.raises(PiordError):
             ref.parse_args(argv)
+
+
+# sha256 over (exit code, stdout, stderr) of the _query_argvs() calls, run
+# in-process: every answer, error line and exit code the query workload
+# sees stays byte-identical
+QUERY_DIGEST = (
+    "93adae60b2596dfccb2e83c0162620d6d95fb85f4fc5a8bde32da85563a007d3")
+
+
+def test_query_operations_digest():
+    digest = hashlib.sha256()
+    for argv in _query_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, out, err)
+        digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+    assert digest.hexdigest() == QUERY_DIGEST
 
 
 def test_table_parser_takes_no_abbreviation():

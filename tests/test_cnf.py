@@ -51,6 +51,14 @@ def test_he_iter():
     assert he_iter(x, 4) is None
 
 
+def test_te_iter():
+    # L^(L^(2))*(1) + L^(L^(1))*(1): the tail walk leaves the head's chain
+    x = mk_lamsum(((lam(E2, ONE), ONE), (lam(E1, ONE), ONE)))
+    assert te_iter(x, 2) is E1 and he_iter(x, 2) is E2
+    assert te_iter(x, 3) is E_ZERO
+    assert te_iter(x, 4) is None
+
+
 def test_is_part():
     assert is_part(lam(E2, from_int(3)), X)
     assert is_part(E_ZERO, X)

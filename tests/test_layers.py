@@ -87,3 +87,29 @@ def test_map_only_bindings_are_listed():
         "piord.validate.k_delta",
         "piord.validate.k_delta_exp",
     }
+
+
+def _function_level_imports():
+    """'function imports name' for each import of a piord module (the
+    package imports its own modules relatively) inside a function body."""
+    for info in pkgutil.iter_modules(piord.__path__):
+        qualname = "piord." + info.name
+        module = importlib.import_module(qualname)
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    for alias in node.names:
+                        yield "%s.%s imports piord.%s.%s" % (
+                            qualname, fn.name, node.module, alias.name)
+
+
+def test_function_level_imports():
+    # an import inside a function hides a dependency from the module's
+    # header and runs on every call; the one kept here closes a cycle:
+    # the comparator and the vector order are mutually recursive
+    assert set(_function_level_imports()) == {
+        "piord.order._psi_lt imports piord.cnf.lx_lt",
+    }

@@ -165,9 +165,10 @@ def test_census_sorted_strictly(corpus4):
         assert cmp_ord(a, b) == LT
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        enumerate_corpus(P4, 9, budget=100)
+        enumerate_corpus(P4, 9)
 
 
 def test_determinism_same_process():

@@ -59,7 +59,7 @@ def test_system_params_is_a_value():
     assert SystemParams(3) != SystemParams(4)
     assert repr(SystemParams(4)) == "SystemParams(n=4)"
     assert ValidationReport("Psi9").failure is None
-    with pytest.raises(ValueError):
+    with pytest.raises(LimitExceeded):
         SystemParams(2)
     with pytest.raises(LimitExceeded):
         SystemParams(MAX_N + 1)
