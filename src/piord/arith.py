@@ -6,7 +6,6 @@ construction paths the library surface exposes.
 """
 
 from .errors import ArgsNotBelowK, LimitExceeded, OutOfRange, ValidationError
-from .params import SystemParams
 # mk_sum is not called here (sums are built by from_parts), but the
 # benchmark's layer map, perfbench/layers.json, names piord.arith.mk_sum.
 from .terms import (
@@ -154,11 +153,10 @@ def omega_tower(a, n):
     return a
 
 
-def theorem_bound(n, params=None):
+def theorem_bound(n, params):
     """The stage-n bound term: the first-Omega collapse of the n-fold
     omega tower over the successor of the top term, for 0 <= n <= MAX_STAGE."""
     if not 0 <= n <= MAX_STAGE:
         raise LimitExceeded("stage must lie in 0..%d, got %d" % (MAX_STAGE, n))
-    params = params or SystemParams()
     omega1 = omega_idx(ONE)
     return psi0(omega1, omega_tower(add(BIG_K, ONE), n), params)

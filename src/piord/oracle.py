@@ -39,7 +39,8 @@ from .cnf import he, he_iter, irreducible, lx_lt, seq_lt, te, vec_sp
 from .cnf import pairs as cnf_pairs
 from .sd import in_sd, replay, sd_necessary_conditions
 from .validate import check_ot, check_exp, rule_vs_series
-from .arith import add, omega_exp, psi0, psiK, psi_sd, psi_step, step_vector
+from .arith import (add, omega_exp, omega_idx, psi0, psiK, psi_sd, psi_step,
+                    step_vector)
 from .syntax import print_ord, print_seq
 
 __all__ = [
@@ -88,8 +89,6 @@ def enumerate_corpus(params, size_cap):
             if count > DEFAULT_BUDGET:
                 raise BudgetExceeded("more than %d terms below size %d"
                                      % (DEFAULT_BUDGET, size_cap))
-            return True
-        return False
 
     e_cap = size_cap - 3  # an entry must fit inside some psi wrapper
     if size_cap >= 1:
@@ -299,20 +298,20 @@ class CheckReport(namedtuple("CheckReport", "name checked failures")):
 def _suite(name, cases, fails):
     """Check every case, an argument tuple for fails (``zip(xs)`` gives
     one-argument cases).  fails(*case) returns None or the case's failure
-    message; a comparison it leaves undecided fails the case too.  Cases
-    are drawn 1024 at a time, and each batch ends at a memo checkpoint."""
+    message; a comparison it leaves undecided fails the case too.  A memo
+    checkpoint follows every 1024th case and the last one."""
     checked = 0
     failures = []
-    cases = iter(cases)
-    while batch := tuple(itertools.islice(cases, 1024)):
-        checked += len(batch)
-        for case in batch:
-            try:
-                msg = fails(*case)
-            except ComparisonUndecided as exc:
-                msg = str(exc)
-            if msg is not None:
-                failures.append(msg)
+    for checked, case in enumerate(cases, 1):
+        try:
+            msg = fails(*case)
+        except ComparisonUndecided as exc:
+            msg = str(exc)
+        if msg is not None:
+            failures.append(msg)
+        if not checked % 1024:
+            trim_caches()
+    if checked % 1024:
         trim_caches()
     return CheckReport(name, checked, tuple(failures))
 
@@ -343,7 +342,7 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     while hasattr(cmp_fresh, "__wrapped__"):
         cmp_fresh = cmp_fresh.__wrapped__
     # (i, j) with i < j -> the forward result when it is not LT, or the
-    # ComparisonUndecided it raised
+    # message of the ComparisonUndecided it raised
     forward = {}
 
     def antisymmetric(i, j):
@@ -351,7 +350,7 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
         try:
             c1 = cmp_fresh(ti, tj)
         except ComparisonUndecided as exc:
-            forward[i, j] = exc
+            forward[i, j] = str(exc)
             raise
         if c1 != LT:
             forward[i, j] = c1
@@ -359,15 +358,12 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
         if c1 != LT or c2 != GT:
             return "%s vs %s: %d/%d" % (print_ord(ti), print_ord(tj), c1, c2)
 
-    def judged(i, j):
-        r = forward.get((i, j), LT)
-        if isinstance(r, ComparisonUndecided):
-            # a fresh traceback, or each raise would lengthen the stored one
-            raise r.with_traceback(None)
-        return r
-
     def transitive(i, j, k):
-        r1, r2, r3 = judged(i, j), judged(j, k), judged(i, k)
+        r1, r2, r3 = (forward.get((i, j), LT), forward.get((j, k), LT),
+                      forward.get((i, k), LT))
+        for r in (r1, r2, r3):
+            if type(r) is str:
+                return r
         if r1 == r2 and r3 != r1:
             return "%s, %s, %s" % tuple(print_ord(terms[x]) for x in (i, j, k))
 
@@ -524,8 +520,7 @@ def check_structural_props(corpus):
             return "%s not below %s" % (print_ord(t), print_ord(pi))
         if pi.m:
             pred = from_parts(pi.b.parts[:-1])      # the index minus 1
-            lower = ZERO if pred is ZERO else mk_omega_idx(pred) \
-                if not isinstance(pred, Psi) else pred
+            lower = ZERO if pred is ZERO else omega_idx(pred)
             if lower is not ZERO and cmp_ord(lower, t) != LT:
                 return "%s not above %s" % (print_ord(t), print_ord(lower))
 

@@ -115,13 +115,12 @@ def le(s, t):
 
 
 def _cmp_lex(sp, tp):
-    """Lexicographic comparison of CNF parts; a proper prefix is smaller."""
+    """Lexicographic comparison of the CNF parts of two distinct terms
+    (equal parts make one interned term); a proper prefix is smaller."""
     for a, b in zip(sp, tp):
         c = cmp_ord(a, b)
         if c != EQ:
             return c
-    if len(sp) == len(tp):
-        return EQ
     return GT if len(sp) > len(tp) else LT
 
 
@@ -136,8 +135,7 @@ def _cmp_principal(s, t):
         while type(s) is OmegaExp and type(t) is OmegaExp and s is not t:
             s, t = s.b, t.b
         return cmp_ord(s, t)
-    if ra == 1:                                   # both are the top term
-        return EQ
+    # stratum 1 is BIG_K alone, which the identity test has answered
     ts, tt = type(s), type(t)
     if ts is Veblen:
         return _cmp_veblen_any(s, t)
@@ -236,8 +234,6 @@ def cmp_exp(x, y):
         c = cmp_ord(c1, c2)
         if c != EQ:
             return c
-    if len(xp) == len(yp):
-        return EQ
     return GT if len(xp) > len(yp) else LT
 
 

@@ -12,8 +12,7 @@ from collections import namedtuple
 from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, EZeroT, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    collapsing_series, is_regular, is_strongly_critical,
-    k_components_vec, m_at,
+    collapsing_series, is_regular, is_strongly_critical, m_at,
 )
 # k_delta and k_delta_exp are not called here (K-set conditions are decided
 # by ks_below), but the benchmark's layer map, perfbench/layers.json, names
@@ -242,7 +241,7 @@ def _check_psi11(t, params):
     b = ps_k[-1][1]
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI11, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    items = (pi, t.a, b, *k_components_vec(pi.m))
+    items = (pi, t.a, b, *pi.nu_comps)
     if not ks_below(t, items, t.a):
         return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a",
                      _kset_repr(k_delta_set(t, items)))

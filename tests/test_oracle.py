@@ -142,16 +142,25 @@ def _raw_terms(n, cap):
     return [t for s in sorted(ords) for t in ords[s]]
 
 
-@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
-def test_census_is_every_valid_term(params):
+@pytest.mark.parametrize("params, digest", [
+    (P3, "e3a08b790713e7c98d336253f623fdeafa48f711daf7024978a3e01092680824"),
+    (P4, "1c8f08e9522653a6ea43494368226430ea3c08f7eb41eca7be9382f92e7bce6f"),
+], ids=["n3", "n4"])
+def test_census_is_every_valid_term(params, digest):
     # no generator pruning: the census must be exactly the raw terms that
-    # validate (15 275 raw terms at N=3 and 18 999 at N=4, 94 valid)
+    # validate (15 275 raw terms at N=3 and 18 999 at N=4, 94 valid); the
+    # digest pins every verdict, so each rejection keeps its rule and
+    # first failed condition
     try:
-        valid = {t for t in _raw_terms(params.n, 7) if check_ot(t, params).ok}
+        reports = [(t, check_ot(t, params)) for t in _raw_terms(params.n, 7)]
     finally:
         clear_caches()
+    valid = {t for t, rep in reports if rep.ok}
     assert valid == set(enumerate_corpus(params, 7).terms)
     assert len(valid) == 94
+    verdicts = "\n".join(repr((print_ord(t), rep.rule, rep.failure))
+                         for t, rep in reports)
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == digest
 
 
 def test_census_terms_all_validate(corpus4):
@@ -419,6 +428,11 @@ def test_undecided_pair_fails_every_axiom_case_that_needs_it(monkeypatch):
     assert tri.failures == ("no clause decides",)
     assert trans.checked == n * (n - 1) * (n - 2) // 6
     assert trans.failures == ("no clause decides",) * (n - 2)
+    # a sampled draw: 2000 of the C(41, 3) = 10 660 triples, 9 of them
+    # holding both terms of the pair
+    _, trans = check_order_axioms(corpus, triple_sample=2000)
+    assert trans.checked == 2000
+    assert trans.failures == ("no clause decides",) * 9
 
 
 def test_mutated_comparator_is_caught(monkeypatch, corpus4):
