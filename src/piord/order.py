@@ -11,7 +11,7 @@ import functools
 
 from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
-    BIG_K, ZERO,
+    BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
     is_zero_vec, k_components,
 )
@@ -30,9 +30,11 @@ _MEMOS = []
 # trim_caches: every 1024 oracle cases, every census size step, every
 # 16th cli.main call).  The bound is soft: a table may pass it between
 # two checkpoints.  A smaller bound holds less and recomputes more: with
-# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 37 MB
-# instead of 59 MB and takes 2% longer; half of it gives 29 MB and 5%
-# (2 vCPUs, Python 3.11.7; BENCH_memo_bound.json).
+# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 31 MB
+# instead of 52 MB with no bound, and half of it gives 23 MB; in 10
+# rotated rounds neither took longer than no bound beyond the host's
+# noise (median ratios 1.04 and 1.01; 2 vCPUs, Python 3.11.7;
+# BENCH_kset_share.json).
 MEMO_BOUND = 65536
 
 
@@ -241,7 +243,8 @@ def cmp_exp(x, y):
 # Component sets K_delta
 # ---------------------------------------------------------------------------
 
-_EMPTY = frozenset()
+# the one empty K-set object, shared with the components of zero entries
+_EMPTY = E_ZERO.comps
 
 
 def _check_delta(delta):
@@ -260,13 +263,16 @@ def k_delta(delta, alpha):
 def _k_delta(delta, alpha):
     if isinstance(alpha, (ZeroT, BigKT)):
         return _EMPTY
-    if isinstance(alpha, Sum):
+    if isinstance(alpha, (Sum, Veblen)):
+        # a union is built only when two different non-empty sets meet, and
+        # then goes through _kset; otherwise it is one operand's own object,
+        # so the table holds no copies (every empty result is _EMPTY)
         r = _EMPTY
-        for p in alpha.parts:
-            r |= _k_delta(delta, p)
+        for p in alpha.parts if type(alpha) is Sum else (alpha.b, alpha.g):
+            k = _k_delta(delta, p)
+            if k and k is not r:
+                r = _kset(r | k) if r else k
         return r
-    if isinstance(alpha, Veblen):
-        return _k_delta(delta, alpha.b) | _k_delta(delta, alpha.g)
     if isinstance(alpha, (OmegaExp, OmegaIdx)):
         # K(w^ b) = K(Om b) = K(b): walk down a tower of both in this
         # frame, so that only the node below it gets a memo entry
@@ -289,6 +295,13 @@ def _k_delta_psi(delta, alpha):
     r = frozenset((a,)) | _k_delta(delta, a) | _k_delta(delta, alpha.pi)
     for g in alpha.nu_comps:
         r |= _k_delta(delta, g)
+    return _kset(r)
+
+
+@memo
+def _kset(r):
+    """The first K-set object seen with r's elements: equal sets share one
+    object across the entries of the _k_delta table."""
     return r
 
 

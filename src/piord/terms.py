@@ -25,7 +25,7 @@ __all__ = [
     "is_principal", "is_strongly_critical", "is_successor_term",
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
-    "k_components", "k_components_vec",
+    "k_components",
     "m_at", "m_vec",
     "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
     "all_subterms",
@@ -186,7 +186,14 @@ def mk_psi(pi, nu, a, /):
         e.size for e in nu if e is not E_ZERO))
     t.pi, t.nu, t.a = pi, nu, a
     t.m = strip_zeros(nu)
-    t.nu_comps = k_components_vec(nu)
+    # K(nu) without copies: a zero vector shares E_ZERO's empty set, and a
+    # vector with one component set shares that entry's own set
+    comps = E_ZERO.comps
+    for e in nu:
+        c = e.comps
+        if c and c is not comps:
+            comps = comps | c if comps else c
+    t.nu_comps = comps
     return t
 
 
@@ -273,13 +280,6 @@ def strip_zeros(vec):
 def k_components(x):
     """K(x): the finite set of ordinal-term components of an exponent."""
     return x.comps
-
-
-def k_components_vec(vec):
-    out = frozenset()
-    for e in vec:
-        out |= e.comps
-    return out
 
 
 # ---------------------------------------------------------------------------

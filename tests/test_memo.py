@@ -16,7 +16,9 @@ from piord.order import (
     _MEMOS, _cmp_ord, _k_delta, clear_caches, k_delta, trim_caches,
 )
 from piord.params import SystemParams
-from piord.terms import ONE, ZERO, Psi, mk_omega_exp, mk_omega_idx
+from piord.terms import (
+    BIG_K, E_ZERO, ONE, ZERO, Psi, is_zero_vec, mk_omega_exp, mk_omega_idx,
+)
 from piord.oracle import (
     check_order_axioms, check_structural_props, enumerate_corpus,
 )
@@ -38,7 +40,8 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
     warm = _reports(corpus)
     term = parse_ord("psi(K; [0,1]; 1)", p4)
     assert {m.__name__ for m in _MEMOS} == {
-        "_cmp_ord", "_k_delta", "check_ot", "check_exp", "_search", "_parse"}
+        "_cmp_ord", "_k_delta", "_kset", "check_ot", "check_exp", "_search",
+        "_parse"}
     assert all(m.cache_info().currsize > 0 for m in _MEMOS)
 
     clear_caches()
@@ -147,6 +150,25 @@ def test_k_delta_stores_no_entry_per_tower_level(p4):
             assert _k_delta.cache_info().currsize == entries + 1
     clear_caches()
     assert expected == {ONE}
+
+
+def test_k_sets_share_one_object_per_content(p4):
+    # _k_delta builds a union only when two different non-empty sets meet
+    # and keeps one object per content, so its table holds no copies
+    corpus = enumerate_corpus(p4, 8)
+    psis = [t for t in corpus.terms if isinstance(t, Psi)]
+    clear_caches()
+    try:
+        ks = [k_delta(d, t) for d in [ZERO, BIG_K] + psis[:4]
+              for t in corpus.terms]
+    finally:
+        clear_caches()
+    assert {id(k) for k in ks if not k} == {id(order._EMPTY)}
+    assert len({id(k) for k in ks}) == len(set(ks)) > 1
+    # every zero vector's components are that same empty set
+    zeros = [t for t in psis if is_zero_vec(t.nu)]
+    assert zeros and all(t.nu_comps is order._EMPTY for t in zeros)
+    assert E_ZERO.comps is order._EMPTY
 
 
 def _props(n):

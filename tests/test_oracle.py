@@ -10,12 +10,15 @@ import pytest
 from piord.errors import BudgetExceeded, ComparisonUndecided, ValidationError
 from piord.params import SystemParams
 from piord.terms import (
-    BIG_K, E_ONE, E_ZERO, ONE, ZERO, Psi, is_principal, mk_eord, mk_lamsum,
-    mk_omega_exp, mk_omega_idx, mk_psi, mk_sum, mk_veblen,
+    BIG_K, E_ONE, E_ZERO, ONE, ZERO, EOrd, LamSum, OmegaExp, OmegaIdx, Psi,
+    Sum, Veblen, is_principal, m_at, mk_eord, mk_lamsum, mk_omega_exp,
+    mk_omega_idx, mk_psi, mk_sum, mk_veblen,
 )
 import piord.order
 import piord.oracle as oracle
-from piord.order import _k_delta, clear_caches, cmp_exp, cmp_ord, GT, LT
+from piord.order import (
+    PSI11, PSI12, _k_delta, clear_caches, cmp_exp, cmp_ord, rule_tag, GT, LT,
+)
 from piord.validate import check_ot
 from piord.arith import psi_step, step_vector, theorem_bound
 from piord.oracle import (
@@ -23,7 +26,7 @@ from piord.oracle import (
     sd_cross_check, witness_terms,
 )
 from piord.cnf import te
-from piord.sd import in_sd
+from piord.sd import Base, Extend, in_sd
 from piord.syntax import print_ord, print_seq
 from piord.cli import main as cli_main
 
@@ -337,6 +340,78 @@ def test_sd_vector_pool_is_the_filtered_product(n, census_exponents):
         got = oracle._sd_vector_pool(e_by_size, n, budget)
         assert list(got.items()) == list(want.items()), budget
     assert sum(map(len, want.values())) == {5: 398, 6: 399}[n]
+
+
+def _lift(t):
+    """The image of an ordinal term at rank N+1: a 0 in front of every
+    coefficient vector, at every depth."""
+    if isinstance(t, Sum):
+        return mk_sum(tuple(map(_lift, t.parts)))
+    if isinstance(t, Veblen):
+        return mk_veblen(_lift(t.b), _lift(t.g))
+    if isinstance(t, OmegaExp):
+        return mk_omega_exp(_lift(t.b))
+    if isinstance(t, OmegaIdx):
+        return mk_omega_idx(_lift(t.b))
+    if isinstance(t, Psi):
+        return mk_psi(_lift(t.pi), _lift_vec(t.nu), _lift(t.a))
+    return t
+
+
+def _lift_exp(e):
+    if isinstance(e, EOrd):
+        return mk_eord(_lift(e.a))
+    if isinstance(e, LamSum):
+        return mk_lamsum(tuple((_lift_exp(x), _lift(c)) for x, c in e.pairs))
+    return e
+
+
+def _lift_vec(v):
+    return (E_ZERO,) + tuple(map(_lift_exp, v))
+
+
+def _lift_steps(d):
+    """A derivation's steps as the derivation of the lifted vector reads
+    them: each extended position one higher."""
+    if d is None:
+        return None
+    return tuple(Extend(s.k + 1, _lift_exp(s.zeta), _lift(s.a), s.keep_tail)
+                 if isinstance(s, Extend) else Base(_lift(s.a))
+                 for s in d.steps)
+
+
+@pytest.mark.parametrize("n, cap", [(3, 12), (4, 12), (5, 11), (6, 11),
+                                    (7, 10), (8, 10)])
+def test_census_embeds_in_the_next_rank(n, cap, census_exponents):
+    # the rank-N census with a 0 in front of every vector is a rank-(N+1)
+    # notation in the same order, except the Psi12 terms whose base has
+    # its only coefficient at position 2: at N+1 that coefficient sits at
+    # position 3, which makes the base a Psi11 base
+    corpus, e_by_size = census_exponents(SystemParams(n), cap)
+    up = SystemParams(n + 1)
+    try:
+        kept, rejected = [], []
+        for t in corpus.terms:
+            image = _lift(t)
+            report = check_ot(image, up)
+            if report.ok:
+                kept.append(image)
+            else:
+                rejected.append((t, report))
+        for t, report in rejected:
+            assert rule_tag(t) == PSI12 and len(t.pi.m) == 1, t
+            assert m_at(t.pi, 2) is not E_ZERO, t
+            assert report.rule == PSI11, t
+        assert len(rejected) == (7 if n == 3 else 0)
+        assert all(cmp_ord(a, b) == LT for a, b in zip(kept, kept[1:]))
+        pool = oracle._sd_vector_pool(e_by_size, n, cap - 3)
+        vecs = list(corpus.seqs) + [v for vs in pool.values() for v in vs]
+        assert len(vecs) > len(corpus.seqs)
+        for v in vecs:
+            lifted = in_sd(_lift_vec(v))
+            assert _lift_steps(in_sd(v)) == (lifted and lifted.steps), v
+    finally:
+        clear_caches()
 
 
 def test_enumerate_at_rank_20():
