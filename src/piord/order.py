@@ -30,12 +30,13 @@ _MEMOS = []
 # trim_caches: every 1024 oracle cases, every census size step, every
 # 16th cli.main call).  The bound is soft: a table may pass it between
 # two checkpoints.  A smaller bound holds less and recomputes more: with
-# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 31 MB
-# instead of 52 MB with no bound, and half of it gives 23 MB; in 10
+# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 19.6 MB
+# instead of 52.5 MB with no bound, and twice it gives 23.8 MB; in 10
 # rotated rounds neither took longer than no bound beyond the host's
-# noise (median ratios 1.04 and 1.01; 2 vCPUs, Python 3.11.7;
-# BENCH_kset_share.json).
-MEMO_BOUND = 65536
+# noise (median ratios 0.96 and 1.01; 2 vCPUs, Python 3.11.7;
+# BENCH_pair_columns.json).  It suffices because the pair suite walks
+# its pairs column by column, reusing each column's entries.
+MEMO_BOUND = 16384
 
 
 def memo(fn):

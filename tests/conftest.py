@@ -1,8 +1,18 @@
+import os
+
 import pytest
 
 from piord.params import SystemParams
 import piord.oracle as oracle
 from piord.oracle import enumerate_corpus
+
+# pytest's `pythonpath` setting reaches this process only: put the same
+# source tree first on PYTHONPATH, so that the piord processes the tests
+# start import it too, without an install
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -251,3 +251,33 @@ def test_intern_caches_stay_unbounded(monkeypatch, p4):
     trim_caches()
     assert all(m.cache_info().currsize == 0 for m in _MEMOS)
     assert [f.cache_info().currsize for f in interns] == sizes
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["real", "mutated"])
+def test_axiom_reports_do_not_depend_on_the_bound(monkeypatch, p4, mutated):
+    # the same order-axiom reports, names, counts and failures, whatever
+    # the checkpoints empty: every table at each one, most of them, those
+    # above the default bound, or none; also for a psi comparison that
+    # swaps two census terms, whose wrong answer the memo then hands to
+    # every comparison of terms built from them
+    corpus = enumerate_corpus(p4, 8)
+    if mutated:
+        a, b = (parse_ord(x, p4) for x in ("psi(Om(1); 0)", "psi(K; 0)"))
+        real = order._cmp_psi_psi
+        monkeypatch.setattr(
+            order, "_cmp_psi_psi",
+            lambda s, t: -real(s, t) if {s, t} == {a, b} else real(s, t))
+    reports = []
+    try:
+        for bound in (0, 16, order.MEMO_BOUND, float("inf")):
+            monkeypatch.setattr(order, "MEMO_BOUND", bound)
+            clear_caches()
+            reports.append(check_order_axioms(corpus))
+    finally:
+        clear_caches()
+    assert all(r == reports[0] for r in reports[1:])
+    tri, trans = reports[0]
+    assert tri.checked == len(corpus.terms) * (len(corpus.terms) - 1) // 2
+    assert trans.checked == 100_000
+    assert (len(tri.failures), len(trans.failures)) == (
+        (10, 19) if mutated else (0, 0))

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import json
 import pathlib
 import random
 import types
@@ -508,6 +509,56 @@ def test_undecided_pair_fails_every_axiom_case_that_needs_it(monkeypatch):
     _, trans = check_order_axioms(corpus, triple_sample=2000)
     assert trans.checked == 2000
     assert trans.failures == ("no clause decides",) * 9
+
+
+def test_pair_failures_keep_row_order(monkeypatch):
+    # the pair suite walks column by column, but reports its failures as a
+    # row-by-row walk over i < j finds them; the failing pairs are chosen
+    # so that the two walks meet them in different orders
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    inverted = {(0, 9), (2, 3), (1, 7), (4, 30)}
+    undecided = {(0, 4), (5, 6), (3, 8), (2, 20)}
+    undecided_back = {(1, 5), (6, 12)}       # only the reverse comparison
+    index = {t: i for i, t in enumerate(terms)}
+
+    def faulty(x, y):
+        i, j = index.get(x, -1), index.get(y, -1)
+        if {(i, j), (j, i)} & undecided or (j, i) in undecided_back:
+            raise ComparisonUndecided("undecided %d, %d" % (i, j))
+        c = cmp_ord(x, y)
+        return -c if (i, j) in inverted or (j, i) in inverted else c
+
+    expected = []
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        ti, tj = terms[i], terms[j]
+        try:
+            c1, c2 = faulty(ti, tj), faulty(tj, ti)
+        except ComparisonUndecided as exc:
+            expected.append(str(exc))
+            continue
+        if (c1, c2) != (LT, GT):
+            expected.append("%s vs %s: %d/%d" % (
+                print_ord(ti), print_ord(tj), c1, c2))
+    expected = tuple(expected)
+    assert len(expected) == 10
+    failing = inverted | undecided | undecided_back
+    by_column = sorted(failing, key=lambda pair: pair[::-1])
+    assert by_column[:5] != sorted(failing)[:5]
+
+    monkeypatch.setattr(oracle, "cmp_ord", faulty)
+    tri, _ = check_order_axioms(corpus, triple_sample=0)
+    assert tri.failures == expected
+    # props builds its census with the comparator it checks: hand it the
+    # census built above
+    monkeypatch.setattr("piord.cli.enumerate_corpus", lambda *_: corpus)
+    out = io.StringIO()
+    cli_main(["--big-n", "4", "--format", "json-lines", "props",
+              "--size-cap", "6", "--triples", "0"], out, io.StringIO())
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    pair_rec = next(r for r in records
+                    if r.get("name") == "trichotomy+antisymmetry")
+    assert pair_rec["failures"] == list(expected[:5])
 
 
 def test_mutated_comparator_is_caught(monkeypatch, corpus4):
