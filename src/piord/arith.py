@@ -12,7 +12,7 @@ from .terms import (
     BIG_K, ONE, ZERO,
     OmegaExp, Psi, Veblen,
     from_parts, is_strongly_critical, mk_eord, mk_omega_exp,
-    mk_omega_idx, mk_psi, mk_sum, mk_veblen, zero_vec,
+    mk_omega_idx, mk_psi, mk_sum, mk_veblen, tower_up, zero_vec,
 )
 from .order import GT, LT, PSI10, PSI11, cmp_ord
 # add is defined beside exp_add, which calls it
@@ -138,19 +138,20 @@ def psi_sd(pi, nu, a, params):
 # Towers and the bound pipeline
 # ---------------------------------------------------------------------------
 
-# The stage-n bound term nests n omega-powers, each built and validated in
-# turn, so n is bounded before the first level is built.
+# The stage-n bound term nests n omega-powers.  Building, validating and
+# comparing its tower cost the same at any height, but printing it writes
+# every level, so n is bounded before the first level is built.
 MAX_STAGE = 1000
 
 
 def omega_tower(a, n):
     """n-fold omega-power of a."""
-    for _ in range(n):
-        # w^ of a term above K is above K and not strongly critical, so
-        # from the first omega-power level on, omega_exp would take its
-        # mk_omega_exp branch anyway; skip its comparison with K
-        a = mk_omega_exp(a) if type(a) is OmegaExp else omega_exp(a)
-    return a
+    while n and type(a) is not OmegaExp:
+        a, n = omega_exp(a), n - 1
+    # w^ of a term above K is above K and not strongly critical, so from
+    # the first omega-power level on, omega_exp would take its
+    # mk_omega_exp branch anyway: read the rest off a's tower
+    return tower_up(a, n)
 
 
 def theorem_bound(n, params):

@@ -16,14 +16,14 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from .params import SystemParams
-from .errors import PiordError
+from .errors import ComparisonUndecided, PiordError
 from .order import EQ, LT, cmp_ord, k_delta, trim_caches
 from .validate import ValidationReport, check_ot
 from .sd import Base, in_sd
 from .arith import theorem_bound
 from .oracle import (
-    check_order_axioms, check_structural_props, default_size_cap,
-    descent_probe, enumerate_corpus, sd_cross_check,
+    CheckReport, check_order_axioms, check_structural_props,
+    default_size_cap, descent_probe, enumerate_corpus, sd_cross_check,
 )
 from .syntax import (
     parse_ord, parse_ord_claims, parse_seq, print_exp, print_ord, print_seq,
@@ -179,18 +179,25 @@ def _enumerate(args, params, emit):
 
 
 def _props(args, params, emit):
-    corpus = _corpus(args, params)
-    reports = check_order_axioms(corpus, args.triples, args.seed)
-    reports += check_structural_props(corpus)
-    sd_rep, unconfirmed = sd_cross_check(corpus)
-    reports.append(sd_rep)
+    try:
+        corpus = _corpus(args, params)
+    except ComparisonUndecided as exc:
+        # a census the order cannot sort fails, and no suite runs on it
+        reports = [CheckReport("census order", 1, (str(exc),))]
+        unconfirmed = None
+    else:
+        reports = check_order_axioms(corpus, args.triples, args.seed)
+        reports += check_structural_props(corpus)
+        sd_rep, unconfirmed = sd_cross_check(corpus)
+        reports.append(sd_rep)
     for rep in reports:
         emit(lambda: {"kind": "prop", "name": rep.name, "ok": rep.ok,
                       "checked": rep.checked, "failures": rep.failures[:5]},
              rep.line())
-    emit(lambda: {"kind": "sd-unconfirmed", "count": len(unconfirmed)},
-         "sd-unconfirmed %d (conditions hold, no derivation found)"
-         % len(unconfirmed))
+    if unconfirmed is not None:
+        emit(lambda: {"kind": "sd-unconfirmed", "count": len(unconfirmed)},
+             "sd-unconfirmed %d (conditions hold, no derivation found)"
+             % len(unconfirmed))
     return 0 if all(rep.ok for rep in reports) else 1
 
 

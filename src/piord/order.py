@@ -13,7 +13,7 @@ from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    is_zero_vec, k_components,
+    is_zero_vec, k_components, tower_down,
 )
 
 __all__ = [
@@ -132,12 +132,11 @@ def _cmp_principal(s, t):
     if ra != rb:
         return LT if ra < rb else GT
     if ra == 2:                                   # omega-powers above the top
-        # w^a against w^b is a against b: walk down a tower in this frame,
-        # so a deep pair neither nests frames nor fills the memo per level
-        s, t = s.b, t.b
-        while type(s) is OmegaExp and type(t) is OmegaExp and s is not t:
-            s, t = s.b, t.b
-        return cmp_ord(s, t)
+        # w^a against w^b is a against b: strip the levels both towers
+        # have in one step, so a deep pair neither nests frames nor fills
+        # the memo per level
+        m = min(s.height, t.height)
+        return cmp_ord(tower_down(s, m), tower_down(t, m))
     # stratum 1 is BIG_K alone, which the identity test has answered
     ts, tt = type(s), type(t)
     if ts is Veblen:
@@ -276,10 +275,10 @@ def _k_delta(delta, alpha):
         return r
     if isinstance(alpha, (OmegaExp, OmegaIdx)):
         # K(w^ b) = K(Om b) = K(b): walk down a tower of both in this
-        # frame, so that only the node below it gets a memo entry
-        alpha = alpha.b
+        # frame, a run of w^ levels in one step, so that only the node
+        # below it gets a memo entry
         while isinstance(alpha, (OmegaExp, OmegaIdx)):
-            alpha = alpha.b
+            alpha = alpha.levels[0].b if type(alpha) is OmegaExp else alpha.b
         return _k_delta(delta, alpha)
     return _k_delta_psi(delta, alpha)
 

@@ -20,7 +20,8 @@ from .order import memo
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     from_parts, is_zero_vec, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx,
-    mk_psi, mk_sum, mk_veblen, print_exp, print_ord, print_seq, zero_vec,
+    mk_psi, mk_sum, mk_veblen, print_exp, print_ord, print_seq, tower_up,
+    zero_vec,
 )
 
 __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
@@ -131,8 +132,9 @@ class _Parser:
     def tower(self, k):
         """A tower whose first k "w^(" levels are consumed: add the levels
         of the "w^(" tokens that follow, parse the innermost operand, then
-        close as many levels per ")" token as it holds.  A "+" after a
-        closed level continues the enclosing level's operand as a sum."""
+        close as many levels per ")" token as it holds, all in one step.  A
+        "+" after a closed level continues the enclosing level's operand as
+        a sum."""
         tok = self.toks[self.i]
         while tok[:3] == "w^(":
             k += len(tok) // 3
@@ -150,8 +152,7 @@ class _Parser:
             else:
                 self.expect(")")
                 closed = 1
-            for _ in range(closed):
-                a = mk_omega_exp(a)
+            a = tower_up(mk_omega_exp(a), closed - 1)
             k -= closed
             if not k:
                 return a

@@ -10,6 +10,13 @@ its spelling in the grammar of :mod:`piord.syntax`.
 Raw factories (``mk_*``) perform only structural sanity checks; normal-form
 side conditions live in :mod:`piord.validate` and normalizing constructors
 in :mod:`piord.arith`.
+
+A tower is the run of w^ levels over one base, the first node below them
+that is not a w^ node.  Each ``OmegaExp`` node knows its ``height`` and
+shares its tower's list of ``levels``, so ``tower_up`` and ``tower_down``
+move any number of levels in one step.  The lists belong to interning: a
+level is appended when ``mk_omega_exp`` builds it, and no list is ever
+trimmed, so ``mk_omega_exp``'s cache must never be cleared.
 """
 
 import functools
@@ -21,7 +28,7 @@ __all__ = [
     "Exp", "EZeroT", "EOrd", "LamSum",
     "ZERO", "BIG_K", "ONE", "E_ZERO", "E_ONE",
     "mk_sum", "mk_veblen", "mk_omega_exp", "mk_omega_idx", "mk_psi",
-    "mk_eord", "mk_lamsum", "from_parts",
+    "mk_eord", "mk_lamsum", "from_parts", "tower_up", "tower_down",
     "is_principal", "is_strongly_critical", "is_successor_term",
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
@@ -72,8 +79,12 @@ class Veblen(Ord):
 
 
 class OmegaExp(Ord):
-    """omega**b for b above the top regular term."""
-    __slots__ = ("b",)
+    """omega**b for b above the top regular term.
+
+    ``height`` counts its levels over the tower's base, and ``levels[h-1]``
+    is the tower's level of height h.  Until a tower has a second level,
+    its list is its one node's ``parts``."""
+    __slots__ = ("b", "height", "levels")
 
 
 class OmegaIdx(Ord):
@@ -167,6 +178,14 @@ def mk_veblen(b, g, /):
 def mk_omega_exp(b, /):
     t = _principal(OmegaExp, 1 + b.size)
     t.b = b
+    if type(b) is not OmegaExp:
+        t.height, t.levels = 1, t.parts
+    else:
+        # level h + 1 is built once, after level h: the list stays exact
+        if b.height == 1:
+            b.levels = [b]
+        t.height, t.levels = b.height + 1, b.levels
+        t.levels.append(t)
     return t
 
 
@@ -222,6 +241,27 @@ def mk_lamsum(pairs, /):
         cs |= k_components(e)
     t.comps = frozenset(cs)
     return t
+
+
+def tower_up(a, k):
+    """The k-fold w^ of a, for k >= 0: read from the level list of a's
+    tower, where each missing level is built once, on the one below it."""
+    if not k:
+        return a
+    if type(a) is not OmegaExp:
+        a, k = mk_omega_exp(a), k - 1
+    h = a.height + k
+    levels = a.levels
+    while len(levels) < h:
+        levels = mk_omega_exp(levels[-1]).levels
+    return levels[h - 1]
+
+
+def tower_down(t, k):
+    """The w^ node t without its top k levels, for 0 <= k <= t.height:
+    t.b taken k times."""
+    h = t.height - k
+    return t.levels[h - 1] if h else t.levels[0].b
 
 
 def from_parts(parts):
@@ -408,11 +448,9 @@ def _print_principal(t):
     if isinstance(t, Veblen):
         return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
     if isinstance(t, OmegaExp):
-        # a tower of k levels is printed in this frame
-        k, b = 1, t.b
-        while type(b) is OmegaExp:
-            k, b = k + 1, b.b
-        return "w^(" * k + print_ord(b) + ")" * k
+        # a tower of k levels is printed in this frame, around its base
+        k = t.height
+        return "w^(" * k + print_ord(t.levels[0].b) + ")" * k
     if isinstance(t, OmegaIdx):
         return "Om(%s)" % print_ord(t.b)
     if isinstance(t, Psi):

@@ -119,14 +119,12 @@ def _check_veblen(t, params):
 
 
 def _check_omega_exp(t, params):
-    # walk down a tower of w^ levels to its innermost exponent b in this
-    # frame, so that only the top gets a memo entry.  A level above the
-    # innermost has a w^ term as its exponent, which the comparator puts
-    # above the top by its stratum alone, so every level is valid, and so
-    # is t.b, when b is valid and above the top
-    b = t.b
-    while type(b) is OmegaExp:
-        b = b.b
+    # check the tower's base b, the innermost exponent, in this frame, so
+    # that only the top gets a memo entry.  A level above the innermost
+    # has a w^ term as its exponent, which the comparator puts above the
+    # top by its stratum alone, so every level is valid, and so is t.b,
+    # when b is valid and above the top
+    b = t.levels[0].b
     if not check_ot(b, params).ok or (
             b is not t.b and cmp_ord(b, BIG_K) != GT):
         return _fail(RULE_OMEGA_EXP, "subterm", "invalid subterm %r" % (t.b,))

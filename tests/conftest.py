@@ -1,7 +1,9 @@
 import os
+import sys
 
 import pytest
 
+import piord
 from piord.params import SystemParams
 import piord.oracle as oracle
 from piord.oracle import enumerate_corpus
@@ -13,6 +15,40 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+_PIORD_DIR = os.path.dirname(piord.__file__)
+
+
+def count_line_events(fn, *args):
+    """Call fn(*args) and return the number of line events it runs in
+    piord's own source files: a measure of work that, unlike a clock,
+    does not depend on the host."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(_PIORD_DIR):
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+@pytest.fixture
+def line_events():
+    """count_line_events, for tests that pin the work of one call."""
+    return count_line_events
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,11 @@ from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
 from piord.errors import PiordError
 from piord.oracle import default_size_cap, enumerate_corpus
-from piord.order import LT, cmp_ord
+from piord.cnf import lx_lt
+from piord.order import EQ, GT, LT, _psi_lt, clear_caches, cmp_ord, ks_below
 from piord.params import SystemParams
 from piord.syntax import MAX_NUMERAL, parse_ord, print_ord
-from piord.terms import BIG_K, ONE, ZERO, m_vec
+from piord.terms import BIG_K, ONE, ZERO, Psi, m_vec
 
 PLAN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plan.py"
 
@@ -652,3 +653,60 @@ def test_explicit_zero_vector_claim_fails():
     # the sugar spelling of the same term validates as the plain collapse
     code, out, _ = run(["check", "psi(K; 1)"])
     assert code == 0 and "Psi9" in out
+
+
+def _psi_lt_without(clause):
+    """order._psi_lt with one of its four clauses removed."""
+    def psi_lt(s, t):
+        pi, nu, b = s.pi, s.nu, s.a
+        ka, xi, a = t.pi, t.nu, t.a
+        if clause != 1 and cmp_ord(pi, t) <= EQ:
+            return True
+        c = cmp_ord(b, a)
+        if c == LT:
+            if clause != 2 and cmp_ord(s, ka) == LT and ks_below(
+                    t, (pi, b), a) and ks_below(t, s.nu_comps, a):
+                return True
+        else:
+            if clause != 3 and cmp_ord(ka, s) == GT and not (
+                    ks_below(s, (ka, a), b) and ks_below(s, t.nu_comps, b)):
+                return True
+            if clause != 4 and c == EQ and pi is ka and ks_below(
+                    t, s.nu_comps, a) and lx_lt(nu, xi):
+                return True
+        return False
+    return psi_lt
+
+
+def test_psi_lt_copy_matches_the_comparator():
+    # the mutants below are this copy with one clause removed
+    psis = [t for t in enumerate_corpus(SystemParams(4), 9).terms
+            if isinstance(t, Psi)]
+    assert len(psis) > 100
+    copy = _psi_lt_without(None)
+    for s in psis:
+        for t in psis:
+            assert copy(s, t) == _psi_lt(s, t), (s, t)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("clause", [1, 2, 3, 4])
+def test_props_reports_a_census_it_cannot_sort(monkeypatch, clause, n):
+    # without any one clause some census pair is undecided, so the census
+    # cannot be sorted: one FAIL line and exit 1, not an error and exit 2
+    monkeypatch.setattr("piord.order._psi_lt", _psi_lt_without(clause))
+    clear_caches()
+    try:
+        argv = ["--big-n", str(n), "props", "--size-cap", "8"]
+        code, text, err = run(argv)
+        json_code, out, json_err = run(["--format", "json-lines"] + argv)
+    finally:
+        clear_caches()
+    assert code == json_code == 1 and err == json_err == ""
+    name, ok, checked, example = _prop_line(text.rstrip("\n"))
+    assert (name, ok, checked) == ("census order", False, 1)
+    assert example.startswith("psi comparison undecided: ")
+    assert text.count("\n") == out.count("\n") == 1
+    assert json.loads(out) == {"kind": "prop", "name": "census order",
+                               "ok": False, "checked": 1,
+                               "failures": [example]}

@@ -3,18 +3,22 @@ import pytest
 from piord.errors import MalformedChain
 from piord.terms import (
     BIG_K, E_ONE, E_ZERO, ONE, ZERO,
-    EOrd, OmegaIdx, Psi,
+    EOrd, OmegaExp, OmegaIdx, Psi,
     all_subterms, collapsing_series, from_parts, is_principal, is_regular,
     is_successor_term, is_zero_vec, k_components, m_at, m_vec,
-    mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_idx,
-    pd, pd_iter, prec, prec_eq, strip_zeros, zero_vec,
+    mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_exp, mk_omega_idx,
+    pd, pd_iter, prec, prec_eq, strip_zeros, tower_down, tower_up, zero_vec,
 )
-from piord.order import PSI9, PSI10, PSI11, PSI12, rule_tag
+from piord.order import (
+    PSI9, PSI10, PSI11, PSI12, clear_caches, cmp_ord, k_delta, rule_tag,
+)
+from piord import arith
 from piord.params import SystemParams
-from piord.arith import add, from_int, psiK, psi_step, psi0
+from piord.arith import add, from_int, psiK, psi_step, psi0, theorem_bound
 from piord.cnf import from_pairs
 from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, print_exp, print_ord
+from piord.validate import check_ot
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
@@ -270,3 +274,161 @@ def test_series_reaches_top_on_mahlo_chains(corpus4):
                 collapsing_series(t)
         else:
             assert collapsing_series(t)[0] is BIG_K
+
+
+# ---------------------------------------------------------------------------
+# Towers: heights and shared level lists
+# ---------------------------------------------------------------------------
+
+def _ref_height(t):
+    """The number of w^ levels of t, found by walking .b."""
+    h = 0
+    while type(t) is OmegaExp:
+        h, t = h + 1, t.b
+    return h
+
+
+def _ref_down(t, k):
+    for _ in range(k):
+        t = t.b
+    return t
+
+
+def _ref_up(a, k):
+    for _ in range(k):
+        a = mk_omega_exp(a)
+    return a
+
+
+def _ref_cmp_towers(s, t):
+    """The comparator's level-by-level walk for two distinct w^ nodes."""
+    s, t = s.b, t.b
+    while type(s) is OmegaExp and type(t) is OmegaExp and s is not t:
+        s, t = s.b, t.b
+    return cmp_ord(s, t)
+
+
+def _assert_tower_node(t):
+    h = t.height
+    assert h == _ref_height(t), t
+    assert t.levels[h - 1] is t
+    base = _ref_down(t, h)
+    assert tower_down(t, h) is base and t.levels[0].b is base
+    assert tower_down(t, 1) is t.b and tower_down(t, 0) is t
+    assert tower_up(base, h) is t and tower_up(t.b, 1) is t
+
+
+@pytest.fixture(scope="module")
+def census_towers():
+    """The w^ nodes in the N=3 and N=4 cap-11 censuses, by N."""
+    towers = {}
+    for params in (P3, P4):
+        found = set()
+        for t in enumerate_corpus(params, 11).terms:
+            found |= {x for x in all_subterms(t) if type(x) is OmegaExp}
+        towers[params.n] = sorted(found, key=repr)
+    return towers
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_tower_nodes_know_their_height_and_levels(n, census_towers):
+    towers = census_towers[n]
+    assert len(towers) > 400
+    assert max(t.height for t in towers) >= 3
+    for t in towers:
+        _assert_tower_node(t)
+        for k in range(t.height + 1):
+            assert tower_down(t, k) is _ref_down(t, k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_tower_pairs_compare_as_the_level_walk(n, census_towers):
+    # psi terms of different ranks do not compare, so pairs stay in one
+    towers = census_towers[n]
+    for s in towers:
+        for t in towers:
+            if s is not t:
+                assert cmp_ord(s, t) == _ref_cmp_towers(s, t), (s, t)
+
+
+@pytest.mark.parametrize("text", ["K+1", "w^(K+1)+1"])
+def test_tall_towers_know_their_height_and_levels(text):
+    base = parse_ord(text, P4)
+    levels = [base]
+    for _ in range(2000):
+        levels.append(mk_omega_exp(levels[-1]))
+    top = levels[-1]
+    # one list serves the whole tower, its levels in order (another test
+    # may have built this tower higher)
+    assert top.levels[:2000] == levels[1:]
+    assert top.levels is levels[1].levels
+    for h, t in enumerate(levels[1:], 1):
+        assert t.height == h
+        _assert_tower_node(t)
+    for k in range(2001):
+        assert tower_down(top, k) is levels[2000 - k]
+    for h in (0, 1, 2, 999, 2000):
+        for k in (0, 1, 2, 1000 - h // 2):
+            assert tower_up(levels[h], k) is _ref_up(levels[h], k)
+
+
+def test_tower_up_builds_missing_levels_once():
+    # a base no term has used, so its tower starts empty
+    base = parse_ord("w^(K+1)+w^(K+1)+K+5", P4)
+    top = tower_up(base, 300)
+    assert top.height == 300 and len(top.levels) == 300
+    assert top is _ref_up(base, 300)
+    assert tower_up(base, 150) is top.levels[149]
+    # levels past the top are appended to the same list
+    taller = tower_up(top, 10)
+    assert taller.levels is top.levels and len(top.levels) == 310
+    assert taller is _ref_up(top, 10)
+    assert tower_down(taller, 310) is base
+
+
+def test_towers_of_different_heights_compare_as_the_level_walk():
+    bases = [parse_ord(x, P4) for x in (
+        "K+1", "K+2", "w^(K+1)+1", "K+K", "w^(K+1)", "w^(w^(K+1))+K")]
+    towers = [tower_up(b, h) for b in bases for h in (1, 2, 3, 7, 40, 41)]
+    for s in towers:
+        for t in towers:
+            if s is not t:
+                assert cmp_ord(s, t) == _ref_cmp_towers(s, t), (s, t)
+
+
+def test_tower_work_does_not_grow_with_height(line_events, monkeypatch):
+    # every layer takes a tower's levels in one step, so each call runs
+    # about as many lines of piord at 20 000 levels as at 20; only the
+    # C-level work of the tokenizer and of string repetition grows
+    monkeypatch.setattr(arith, "MAX_STAGE", 20_000)
+    t = parse_ord("K+1", P4)
+    for _ in range(20_000):             # the tower is built once
+        t = mk_omega_exp(t)
+
+    def calls(k):
+        tower = "w^(" * k + "K+1" + ")" * k
+        text = "psi(Om(1); %s)" % tower
+        deep = parse_ord(text, P4)
+        higher = parse_ord("psi(Om(1); w^(%s))" % tower, P4)
+        theorem_bound(k, P4)            # builds its interned nodes
+        return {
+            # another spelling, so the whole-text memo misses
+            "parse": (parse_ord, " %s " % text, P4),
+            "cmp_ord": (cmp_ord, deep, higher),
+            "cmp_ord towers": (cmp_ord, deep.a, higher.a),
+            "check_ot": (check_ot, deep, P4),
+            "k_delta": (k_delta, ZERO, deep),
+            "print_ord": (print_ord, deep),
+            "theorem_bound": (theorem_bound, k, P4),
+        }
+
+    def counts(k):
+        found = {}
+        for name, (fn, *args) in calls(k).items():
+            clear_caches()              # every memo table misses
+            found[name] = line_events(fn, *args)
+        return found
+
+    low, high = counts(20), counts(20_000)
+    for name in low:
+        assert abs(high[name] - low[name]) <= 10, (name, low, high)
