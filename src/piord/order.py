@@ -13,12 +13,12 @@ from .errors import BadDelta, ComparisonUndecided, InvalidTerm
 from .terms import (
     BIG_K, E_ZERO, ZERO,
     BigKT, EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen, ZeroT,
-    is_zero_vec, k_components, tower_down,
+    is_zero_vec, tower_down,
 )
 
 __all__ = [
     "LT", "EQ", "GT", "cmp_ord", "cmp_exp", "lt", "le",
-    "k_delta", "k_delta_set", "k_delta_exp", "kset_below", "ks_below",
+    "k_delta", "k_delta_set", "k_delta_exp", "ks_below",
     "rule_tag", "hull_member", "clear_caches", "trim_caches", "MEMO_BOUND",
 ]
 
@@ -316,12 +316,7 @@ def k_delta_set(delta, items):
 
 def k_delta_exp(delta, x):
     """K_delta over an exponent term, via its components."""
-    return k_delta_set(delta, k_components(x))
-
-
-def kset_below(kset, beta):
-    """True when every element of the set lies strictly below beta."""
-    return all(cmp_ord(g, beta) == LT for g in kset)
+    return k_delta_set(delta, x.comps)
 
 
 def ks_below(delta, items, beta):

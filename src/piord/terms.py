@@ -32,7 +32,6 @@ __all__ = [
     "is_principal", "is_strongly_critical", "is_successor_term",
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
-    "k_components",
     "m_at", "m_vec",
     "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
     "all_subterms",
@@ -101,7 +100,8 @@ class Exp:
     """Base class of exponent term nodes; repr is the grammar spelling.
 
     ``pairs`` is the base-CNF: the (exponent, coefficient) pairs head
-    first, () for zero and ((0, a),) for a plain ordinal term a."""
+    first, () for zero and ((0, a),) for a plain ordinal term a.
+    ``comps`` is K(x), the finite set of its ordinal-term components."""
     __slots__ = ("size", "comps", "pairs")
 
     def __repr__(self):
@@ -238,7 +238,7 @@ def mk_lamsum(pairs, /):
     cs = set()
     for e, c in pairs:
         cs.add(c)
-        cs |= k_components(e)
+        cs |= e.comps
     t.comps = frozenset(cs)
     return t
 
@@ -315,11 +315,6 @@ def strip_zeros(vec):
     while k > 0 and vec[k - 1] is E_ZERO:
         k -= 1
     return tuple(vec[:k])
-
-
-def k_components(x):
-    """K(x): the finite set of ordinal-term components of an exponent."""
-    return x.comps
 
 
 # ---------------------------------------------------------------------------

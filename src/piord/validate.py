@@ -187,36 +187,36 @@ def _check_psi(t, params):
     for e in t.nu:
         if not check_exp(e, params).ok:
             return _fail(None, "coefficient entry", repr(e))
-    tag = rule_tag(t)
-    if tag is PSI9:
-        return _check_psi9(t, params)
-    if tag is PSI10:
-        return _check_psi10(t, params)
-    if tag is PSI11:
-        return _check_psi11(t, params)
-    if tag is PSI12:
-        return _check_psi12(t, params)
-    return _fail(None, "formation rule",
-                 "no psi rule matches base %r with this vector" % (t.pi,))
+    check = _PSI_RULES.get(rule_tag(t))
+    if check is None:
+        return _fail(None, "formation rule",
+                     "no psi rule matches base %r with this vector" % (t.pi,))
+    return check(t, params)
+
+
+def _k_fail(rule, name, t, items):
+    """The failure of K_t(items) < t.a, or None when the check passes.  The
+    walk builds no union; only a failure builds one, to list the whole
+    sorted set in its detail."""
+    if ks_below(t, items, t.a):
+        return None
+    detail = ", ".join(sorted(repr(g) for g in k_delta_set(t, items)))
+    return _fail(rule, name, "{" + detail + "}")
 
 
 def _check_psi9(t, params):
     if not is_regular(t.pi):
         return _fail(PSI9, "regular base", repr(t.pi))
-    items = (t.pi, t.a)
-    if not ks_below(t, items, t.a):
-        return _fail(PSI9, "K(pi,a) < a", _kset_repr(k_delta_set(t, items)))
-    return ValidationReport(PSI9)
+    return (_k_fail(PSI9, "K(pi,a) < a", t, (t.pi, t.a))
+            or ValidationReport(PSI9))
 
 
 def _check_psi10(t, params):
     b = t.nu[-1].a
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI10, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    items = (b, t.a)
-    if not ks_below(t, items, t.a):
-        return _fail(PSI10, "K(b,a) < a", _kset_repr(k_delta_set(t, items)))
-    return ValidationReport(PSI10)
+    return (_k_fail(PSI10, "K(b,a) < a", t, (b, t.a))
+            or ValidationReport(PSI10))
 
 
 def _check_psi11(t, params):
@@ -239,11 +239,9 @@ def _check_psi11(t, params):
     b = ps_k[-1][1]
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI11, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    items = (pi, t.a, b, *pi.nu_comps)
-    if not ks_below(t, items, t.a):
-        return _fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a",
-                     _kset_repr(k_delta_set(t, items)))
-    return ValidationReport(PSI11)
+    return (_k_fail(PSI11, "K(pi,a,b) u K(K(m(pi))) < a", t,
+                    (pi, t.a, b, *pi.nu_comps))
+            or ValidationReport(PSI11))
 
 
 def _check_psi12(t, params):
@@ -253,9 +251,9 @@ def _check_psi12(t, params):
     m2 = m_at(pi, 2)
     if not vec_sp(t.nu, m2):
         return _fail(PSI12, "vector sp-below m_2(pi)", repr(m2))
-    items = (pi, t.a)
-    if not ks_below(t, items, t.a):
-        return _fail(PSI12, "K(pi,a) < a", _kset_repr(k_delta_set(t, items)))
+    bad = _k_fail(PSI12, "K(pi,a) < a", t, (pi, t.a))
+    if bad:
+        return bad
     # each non-zero entry's components must not all collapse below the stage
     for i, e in enumerate(t.nu, 2):
         if e is E_ZERO:
@@ -267,8 +265,8 @@ def _check_psi12(t, params):
     return ValidationReport(PSI12)
 
 
-def _kset_repr(ks):
-    return "{" + ", ".join(sorted(repr(g) for g in ks)) + "}"
+_PSI_RULES = {PSI9: _check_psi9, PSI10: _check_psi10, PSI11: _check_psi11,
+              PSI12: _check_psi12}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from piord.terms import (
     BIG_K, E_ONE, E_ZERO, ONE, ZERO,
     EOrd, OmegaExp, OmegaIdx, Psi,
     all_subterms, collapsing_series, from_parts, is_principal, is_regular,
-    is_successor_term, is_zero_vec, k_components, m_at, m_vec,
+    is_successor_term, is_zero_vec, m_at, m_vec,
     mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_exp, mk_omega_idx,
     pd, pd_iter, prec, prec_eq, strip_zeros, tower_down, tower_up, zero_vec,
 )
@@ -122,13 +122,13 @@ def test_prec():
 
 
 def test_components():
-    assert k_components(E_ZERO) == frozenset()
+    assert E_ZERO.comps == frozenset()
     one = mk_eord(ONE)
-    assert k_components(one) == frozenset((ONE,))
+    assert one.comps == frozenset((ONE,))
     # L^(L^(1)*(1))*(2) has components {1, 2}
     inner = mk_lamsum(((one, ONE),))
     x = mk_lamsum(((inner, from_int(2)),))
-    assert k_components(x) == frozenset((ONE, from_int(2)))
+    assert x.comps == frozenset((ONE, from_int(2)))
 
 
 def test_successor_shape():

@@ -160,7 +160,6 @@ def test_accepting_formats_no_detail(monkeypatch):
         raise AssertionError("detail formatted for a passing check")
 
     # a passing K-set check walks the sets; only a failure builds the union
-    monkeypatch.setattr(piord.validate, "_kset_repr", boom)
     monkeypatch.setattr(piord.validate, "k_delta_set", boom)
     clear_caches()
     for rule, term in terms.items():
