@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from .params import SystemParams
 from .errors import ComparisonUndecided, PiordError
-from .order import EQ, LT, cmp_ord, k_delta, trim_caches
+from .order import EQ, LT, cmp_ord, k_delta, memo, trim_caches
 from .validate import ValidationReport, check_ot
 from .sd import Base, in_sd
 from .arith import theorem_bound
@@ -37,6 +37,9 @@ __all__ = ["main"]
 # long run of calls pays it once per 16.
 _CALLS = itertools.count(1)
 
+# One SystemParams per rank, shared by every call of main.
+_params = memo(SystemParams)
+
 
 def main(argv=None, stdout=None, stderr=None):
     if not next(_CALLS) % 16:
@@ -47,7 +50,7 @@ def main(argv=None, stdout=None, stderr=None):
         args = _parse(sys.argv[1:] if argv is None else argv, stdout)
         if args is None:                # --help has printed its text
             return 0
-        params = SystemParams(args.big_n)
+        params = _params(args.big_n)
     except PiordError as exc:
         stderr.write("error: %s\n" % (exc,))
         return 2
@@ -274,8 +277,16 @@ _COMMANDS = {
 }
 
 
-def _dest(flag):
-    return flag[2:].replace("-", "_")
+# Worked out once from the tables: each flag's destination (--size-cap
+# sets size_cap), and each table's defaults by destination, the global
+# options' under None.  A required option has no default.
+_DESTS = {flag: flag[2:].replace("-", "_")
+          for command in (_TOP, *_COMMANDS.values())
+          for flag in command.options}
+_DEFAULTS = {name: {_DESTS[flag]: option.default
+                    for flag, option in command.options.items()
+                    if not option.required}
+             for name, command in ((None, _TOP), *_COMMANDS.items())}
 
 
 def _is_option(arg):
@@ -296,13 +307,12 @@ def _parse(argv, stdout):
     ``run``.  For -h or --help, write the help text to stdout and return
     None.  A usage error raises PiordError."""
     name, command, operands = None, _TOP, []
-    values = {_dest(flag): option.default
-              for flag, option in _TOP.options.items()}
+    values = _DEFAULTS[None].copy()
     i = 0
     while i < len(argv):
         arg = argv[i]
         i += 1
-        if not _is_option(arg):
+        if arg[:1] != "-" or not _is_option(arg):
             if name is not None:
                 operands.append(arg)
                 continue
@@ -310,9 +320,7 @@ def _parse(argv, stdout):
                 raise PiordError("unknown command %r, expected one of %s"
                                  % (arg, ", ".join(_COMMANDS)))
             name, command = arg, _COMMANDS[arg]
-            values.update((_dest(flag), option.default)
-                          for flag, option in command.options.items()
-                          if not option.required)
+            values.update(_DEFAULTS[arg])
             continue
         if arg == "-h" or arg == "--help":
             stdout.write(_help(name, command))
@@ -328,7 +336,7 @@ def _parse(argv, stdout):
             value = argv[i]
             i += 1
         try:
-            values[_dest(flag)] = option.type(value)
+            values[_DESTS[flag]] = option.type(value)
         except ValueError as exc:
             raise PiordError("option %s: %s" % (flag, exc)) from None
     if name is None:
@@ -339,7 +347,7 @@ def _parse(argv, stdout):
             name, len(command.operands), " ".join(command.operands).upper(),
             len(operands)))
     for flag, option in command.options.items():
-        if option.required and _dest(flag) not in values:
+        if option.required and _DESTS[flag] not in values:
             raise PiordError("%s requires option %s" % (name, flag))
     values.update(zip(command.operands, operands))
     return SimpleNamespace(run=command.run, **values)
@@ -349,7 +357,7 @@ def _help(name, command):
     """The --help text of one command, or of piord when name is None."""
     words = ["usage: piord"] + ([name] if name else [])
     for flag, option in command.options.items():
-        word = "%s %s" % (flag, _dest(flag).upper())
+        word = "%s %s" % (flag, _DESTS[flag].upper())
         words.append(word if option.required else "[%s]" % word)
     words += [operand.upper() for operand in command.operands]
     lines = [" ".join(words) + (" ..." if name is None else ""), "",

@@ -336,7 +336,8 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     (i, j), (j, k) and (i, k) are forward pairs of that suite, and the
     comparator answers a pair the same way each time it is asked.  A pair
     the suite left undecided fails every triple that needs it, with the
-    same message."""
+    same message.  When every forward result is LT, no triple can fail,
+    and none is drawn."""
     terms = corpus.terms
     n = len(terms)
     # every comparison runs the uncached body of the comparator this module
@@ -380,15 +381,19 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
         if r1 == r2 and r3 != r1:
             return "%s, %s, %s" % tuple(print_ord(terms[x]) for x in (i, j, k))
 
-    if n * (n - 1) * (n - 2) // 6 <= triple_sample:
-        triples = itertools.combinations(range(n), 3)
-    else:
-        triples = _index_triples(n, triple_sample, seed)
     pairs = _suite("trichotomy+antisymmetry",
                    ((i, j) for j in range(n) for i in range(j)), antisymmetric)
     in_rows = sorted(zip(failed, pairs.failures))
-    return [pairs._replace(failures=tuple(msg for _, msg in in_rows)),
-            _suite("transitivity", triples, transitive)]
+    pairs = pairs._replace(failures=tuple(msg for _, msg in in_rows))
+    all_triples = n * (n - 1) * (n - 2) // 6
+    if not forward:
+        return [pairs, CheckReport("transitivity",
+                                   min(all_triples, triple_sample), ())]
+    if all_triples <= triple_sample:
+        triples = itertools.combinations(range(n), 3)
+    else:
+        triples = _index_triples(n, triple_sample, seed)
+    return [pairs, _suite("transitivity", triples, transitive)]
 
 
 def _index_triples(n, count, seed):

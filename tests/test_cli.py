@@ -232,6 +232,31 @@ def test_query_operations_digest():
     assert digest.hexdigest() == QUERY_DIGEST
 
 
+def test_parsed_namespaces_share_no_state():
+    # the defaults are worked out once per process; a caller that changes
+    # its namespace changes no later call's
+    args = cli._parse(["props"], None)
+    assert (args.seed, args.triples) == (0, 20_000)
+    args.seed, args.triples = 9, 5
+    vars(args).clear()
+    cli._parse(["--big-n", "3", "props", "--seed", "7", "--triples", "6"],
+               None)
+    args = cli._parse(["props"], None)
+    assert (args.seed, args.triples, args.big_n) == (0, 20_000, 4)
+
+
+def test_params_are_kept_per_rank():
+    # one process, the same vector term: rank 3's params do not leak into
+    # the default rank's call, nor back
+    term = "psi(K; [1]; 1)"
+    assert run(["--big-n", "3", "check", term]) == (
+        0, "ok psi(K; [1]; 1) (Psi10)\n", "")
+    code, out, err = run(["check", term])
+    assert code == 2 and out == "" and "need 2 for N=4" in err
+    assert run(["--big-n", "3", "check", term])[0] == 0
+    assert cli._params(3) is cli._params(3) != cli._params(4)
+
+
 def test_table_parser_takes_no_abbreviation():
     ref = _reference_parser()
     for argv in (["props", "--size", "6"], ["--big", "3", "cmp", "0", "1"],

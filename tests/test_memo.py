@@ -39,9 +39,10 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
     cold = _reports(corpus)
     warm = _reports(corpus)
     term = parse_ord("psi(K; [0,1]; 1)", p4)
+    main(["cmp", "0", "1"], io.StringIO())     # fills cli's params table
     assert {m.__name__ for m in _MEMOS} == {
         "_cmp_ord", "_k_delta", "_kset", "check_ot", "check_exp", "_search",
-        "_parse"}
+        "_parse", "SystemParams"}
     assert all(m.cache_info().currsize > 0 for m in _MEMOS)
 
     clear_caches()
@@ -53,7 +54,7 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
 
 
 def test_cli_calls_share_validation_entries():
-    # each call builds its own SystemParams(4); equal params key one entry
+    # every call shares one SystemParams(4), so its entries are reused
     argv = ["check", "psi(K; [0,1]; 1)"]
     clear_caches()
     main(argv, io.StringIO())

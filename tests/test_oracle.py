@@ -662,6 +662,42 @@ def test_transitivity_fault_is_caught(monkeypatch):
         print_ord(a), print_ord(b), print_ord(c))
 
 
+class _Drawn(Exception):
+    pass
+
+
+def test_transitivity_draws_triples_only_after_a_non_lt_result(monkeypatch):
+    # with every forward result LT no triple can fail, so none is drawn;
+    # one pair answering GT, as in test_transitivity_fault_is_caught, draws
+    # them as before
+    def draw(n, count, seed):
+        raise _Drawn()
+
+    corpus = enumerate_corpus(P4, 7)
+    n = len(corpus.terms)
+    assert n * (n - 1) * (n - 2) // 6 > 100_000
+    monkeypatch.setattr(oracle, "_index_triples", draw)
+    _, trans = check_order_axioms(corpus)
+    assert trans == ("transitivity", 100_000, ())
+    assert trans.line().split() == [
+        "transitivity", "PASS", "(100000", "checked)"]
+
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    psis = [i for i, t in enumerate(terms) if isinstance(t, Psi)]
+    ia = psis[0]
+    a, c = terms[ia], terms[next(i for i in psis if i > ia + 1)]
+    real = piord.order._cmp_psi_psi
+    monkeypatch.setattr(piord.order, "_cmp_psi_psi",
+                        lambda s, t: GT if (s, t) == (a, c) else real(s, t))
+    clear_caches()
+    try:
+        with pytest.raises(_Drawn):
+            check_order_axioms(corpus, triple_sample=1_000)
+    finally:
+        clear_caches()
+
+
 @pytest.mark.parametrize("seed", [0, 20240809])
 def test_seeded_triples_are_unchanged(seed):
     # above 21 items, the draws of random.sample(range(n), 3), sorted
