@@ -9,6 +9,7 @@ so text output never prints the operands that only the record names.
 """
 
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -374,6 +375,10 @@ def _help(name, command):
 
 
 def console_main():
+    # piord's heap is interned terms and memo entries, which form no
+    # cycles, so in a process piord owns the cyclic collector only scans
+    # them; library callers of main keep their own collector
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()      # a closed pipe shows here, not at exit

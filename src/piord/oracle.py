@@ -104,6 +104,10 @@ def enumerate_corpus(params, size_cap):
         _gen_psi(s, ot_by_size, e_by_size, params, keep)
         if s <= e_cap:
             _gen_exps(s, ot_by_size, e_by_size)
+        # later classes are built from sorted ones, so they come out
+        # nearly sorted and the final sort, which keeps the guarantee,
+        # finds long runs
+        ot_by_size[s].sort(key=functools.cmp_to_key(cmp_ord))
         trim_caches()
 
     terms = [t for s in range(size_cap + 1) for t in ot_by_size[s]]
@@ -636,21 +640,24 @@ def _sparse_vectors(exps, length, nonzero):
     most nonzero entries other than E_ZERO, in the same order, where
     exps[0] is E_ZERO (as in every exponent pool).  Each vector is built
     in one step from its non-zero entries."""
-    def entries(start, left):
-        # the non-zero (position, exponent) pairs from start on, in product
-        # order: none, then the first at the last position, and so on down
-        yield ()
-        if left:
-            for i in reversed(range(start, length)):
-                for x in exps[1:]:
-                    for rest in entries(i + 1, left - 1):
-                        yield ((i, x),) + rest
-
-    for nz in entries(0, nonzero):
+    for nz in _nonzero_entries(exps, length, 0, nonzero):
         vec = [E_ZERO] * length
         for i, x in nz:
             vec[i] = x
         yield tuple(vec)
+
+
+def _nonzero_entries(exps, length, start, left):
+    # the non-zero (position, exponent) pairs from start on, in product
+    # order: none, then the first at the last position, and so on down;
+    # a module-level function, since a nested generator that calls itself
+    # through its closure cell leaves a reference cycle behind
+    yield ()
+    if left:
+        for i in reversed(range(start, length)):
+            for x in exps[1:]:
+                for rest in _nonzero_entries(exps, length, i + 1, left - 1):
+                    yield ((i, x),) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import argparse
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from piord.oracle import default_size_cap, enumerate_corpus
 from piord.cnf import lx_lt
 from piord.order import EQ, GT, LT, _psi_lt, clear_caches, cmp_ord, ks_below
 from piord.params import SystemParams
-from piord.syntax import MAX_NUMERAL, parse_ord, print_ord
+from piord.syntax import MAX_NUMERAL, parse_ord, print_ord, print_seq
 from piord.terms import BIG_K, ONE, ZERO, Psi, m_vec
 
 PLAN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plan.py"
@@ -520,6 +522,65 @@ def test_console_entry_subprocess():
         [sys.executable, "-m", "piord.cli", "cmp", "0", "K"],
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "<"
+
+
+def test_piord_leaves_no_garbage_cycles():
+    # console_main runs piord without the cyclic collector, so everything
+    # a command builds must be freed by reference counts alone: a command
+    # that left a cycle would leak it for the rest of the process
+    corpus = enumerate_corpus(SystemParams(4), 8)
+    spellings = [print_ord(t) for t in corpus.terms]
+    vectors = [print_seq(v) for v in corpus.seqs]
+    rng = random.Random(31)
+    argvs = [["--big-n", "3", "props", "--size-cap", "8"],
+             ["props", "--size-cap", "8"]]
+    for _ in range(20):
+        left, right = rng.sample(spellings, 2)
+        argvs += [["cmp", left, right], ["check", left],
+                  ["kset", rng.choice(spellings), right], ["mvec", left],
+                  ["sd", rng.choice(vectors)],
+                  ["bound", "--n", str(rng.randrange(10))]]
+    argvs += [["cmp", "phi(0", "K"], ["kset", "0", "psi(K; [1,0]; 1)"],
+              ["check", "Om(K)"], ["bound", "--n", "5000"], ["nosuch"],
+              ["cmp", "--nosuch", "0", "K"]]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        codes = {run(argv)[0] for argv in argvs}
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run(["cmp", "0", "K"])
+        run(["enumerate", "--size-cap", "5"])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_console_main_runs_without_the_collector():
+    # collections are counted from console_main's start to the exit hook,
+    # which runs before the interpreter's own collection at shutdown
+    code = ("import atexit, gc, sys; from piord import cli; n = [0]; "
+            "gc.callbacks.append("
+            "lambda phase, info: n.__setitem__(0, n[0] + (phase == 'start')));"
+            " atexit.register(lambda: sys.stderr.write('gc %d\\n' % n[0])); "
+            "sys.argv = ['piord', 'enumerate', '--size-cap', '9']; "
+            "cli.console_main()")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert len(proc.stdout.splitlines()) == 505
+    assert proc.stderr == "gc 0\n"
 
 
 def test_text_commands_import_no_dataclasses_inspect_or_json():

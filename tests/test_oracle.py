@@ -99,6 +99,22 @@ def test_census_digest():
         assert got == want, (n, cap)
 
 
+def test_census_build_comparison_count(monkeypatch):
+    # work, not wall time: each size class is sorted as it is built, so
+    # the later classes come out nearly sorted and the final sort finds
+    # long runs (32 794 calls when only the whole census was sorted); the
+    # digests above pin that the census stays the same
+    calls = [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return cmp_ord(x, y)
+
+    monkeypatch.setattr(oracle, "cmp_ord", counting)
+    assert len(enumerate_corpus(P4, 11).terms) == 3029
+    assert calls[0] <= 26_886
+
+
 def _raw_terms(n, cap):
     """Every ordinal term of at most cap symbols the raw constructors build
     from smaller raw terms, with no side condition: sum parts in any order,
