@@ -52,18 +52,14 @@ def main(argv=None, stdout=None, stderr=None):
         if args is None:                # --help has printed its text
             return 0
         params = _params(args.big_n)
-    except PiordError as exc:
-        stderr.write("error: %s\n" % (exc,))
-        return 2
-    if args.format == "json-lines":
-        import json  # text output, the common case, never loads it
+        if args.format == "json-lines":
+            import json  # text output, the common case, never loads it
 
-        def emit(record, text):
-            stdout.write(json.dumps(record(), sort_keys=True) + "\n")
-    else:
-        def emit(record, text):
-            stdout.write(text + "\n")
-    try:
+            def emit(record, text):
+                stdout.write(json.dumps(record(), sort_keys=True) + "\n")
+        else:
+            def emit(record, text):
+                stdout.write(text + "\n")
         return args.run(args, params, emit)
     except (PiordError, RecursionError) as exc:
         # a RecursionError means an operand nests deeper than the stack

@@ -17,7 +17,7 @@ from .terms import (
 )
 
 __all__ = [
-    "LT", "EQ", "GT", "cmp_ord", "cmp_exp", "lt", "le",
+    "LT", "EQ", "GT", "cmp_ord", "cmp_exp",
     "k_delta", "k_delta_set", "k_delta_exp", "ks_below",
     "rule_tag", "hull_member", "clear_caches", "trim_caches", "MEMO_BOUND",
 ]
@@ -107,14 +107,6 @@ def _cmp_ord(s, t):
 
 
 cmp_ord = memo(_cmp_ord)
-
-
-def lt(s, t):
-    return cmp_ord(s, t) == LT
-
-
-def le(s, t):
-    return cmp_ord(s, t) <= EQ
 
 
 def _cmp_lex(sp, tp):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import sys
 
@@ -49,6 +50,32 @@ def count_line_events(fn, *args):
 def line_events():
     """count_line_events, for tests that pin the work of one call."""
     return count_line_events
+
+
+def mutate_source(fn, old, new):
+    """fn recompiled from its own source with the one occurrence of the
+    text old replaced by new, in fn's own module globals, which it leaves
+    unchanged.  Raises ValueError unless old occurs exactly once, so a
+    mutant whose source line has been rewritten fails loudly instead of
+    testing stale code."""
+    lines, first = inspect.getsourcelines(fn)
+    source = "".join(lines)
+    found = source.count(old)
+    if found != 1:
+        raise ValueError("%r occurs %d times in %s"
+                         % (old, found, fn.__qualname__))
+    # leading blank lines keep the mutant's line numbers those of the file
+    code = compile("\n" * (first - 1) + source.replace(old, new),
+                   inspect.getsourcefile(fn), "exec")
+    namespace = {}
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.fixture
+def source_mutant():
+    """mutate_source, for tests that check a one-text mutant is caught."""
+    return mutate_source
 
 
 @pytest.fixture(scope="session")

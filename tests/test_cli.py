@@ -12,16 +12,15 @@ import sys
 
 import pytest
 
-from piord import cli
+from piord import cli, order
 from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
 from piord.errors import PiordError
 from piord.oracle import default_size_cap, enumerate_corpus
-from piord.cnf import lx_lt
-from piord.order import EQ, GT, LT, _psi_lt, clear_caches, cmp_ord, ks_below
+from piord.order import LT, _psi_lt, clear_caches, cmp_ord
 from piord.params import SystemParams
 from piord.syntax import MAX_NUMERAL, parse_ord, print_ord, print_seq
-from piord.terms import BIG_K, ONE, ZERO, Psi, m_vec
+from piord.terms import BIG_K, ONE, ZERO, m_vec
 
 PLAN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "plan.py"
 
@@ -741,46 +740,41 @@ def test_explicit_zero_vector_claim_fails():
     assert code == 0 and "Psi9" in out
 
 
-def _psi_lt_without(clause):
-    """order._psi_lt with one of its four clauses removed."""
-    def psi_lt(s, t):
-        pi, nu, b = s.pi, s.nu, s.a
-        ka, xi, a = t.pi, t.nu, t.a
-        if clause != 1 and cmp_ord(pi, t) <= EQ:
-            return True
-        c = cmp_ord(b, a)
-        if c == LT:
-            if clause != 2 and cmp_ord(s, ka) == LT and ks_below(
-                    t, (pi, b), a) and ks_below(t, s.nu_comps, a):
-                return True
-        else:
-            if clause != 3 and cmp_ord(ka, s) == GT and not (
-                    ks_below(s, (ka, a), b) and ks_below(s, t.nu_comps, b)):
-                return True
-            if clause != 4 and c == EQ and pi is ka and ks_below(
-                    t, s.nu_comps, a) and lx_lt(nu, xi):
-                return True
-        return False
-    return psi_lt
+# the guard of each of order._psi_lt's four clauses; clause 2's is its
+# inner guard, because dropping `if c == LT:` would send LT cases into
+# clauses 3 and 4 instead of removing clause 2
+_PSI_GUARDS = {
+    1: "if cmp_ord(pi, t) <= EQ:",
+    2: "if cmp_ord(s, ka) == LT:",
+    3: "if cmp_ord(ka, s) == GT:",
+    4: "if c == EQ and pi is ka:",
+}
 
 
-def test_psi_lt_copy_matches_the_comparator():
-    # the mutants below are this copy with one clause removed
-    psis = [t for t in enumerate_corpus(SystemParams(4), 9).terms
-            if isinstance(t, Psi)]
-    assert len(psis) > 100
-    copy = _psi_lt_without(None)
-    for s in psis:
-        for t in psis:
-            assert copy(s, t) == _psi_lt(s, t), (s, t)
+def _sample(x):
+    y = x + 1
+    return y + 1
+
+
+def test_source_mutant_replaces_exactly_one_occurrence(source_mutant):
+    mutant = source_mutant(_sample, "y = x + 1", "y = x + 2")
+    assert (mutant(1), _sample(1)) == (4, 3)
+    assert mutant.__code__.co_firstlineno == _sample.__code__.co_firstlineno
+    assert mutant.__globals__ is _sample.__globals__
+    with pytest.raises(ValueError, match="'x - 1' occurs 0 times in _sample"):
+        source_mutant(_sample, "x - 1", "x")
+    with pytest.raises(ValueError, match="'\\+ 1' occurs 2 times in _sample"):
+        source_mutant(_sample, "+ 1", "+ 2")
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("clause", [1, 2, 3, 4])
-def test_props_reports_a_census_it_cannot_sort(monkeypatch, clause, n):
+def test_props_reports_a_census_it_cannot_sort(monkeypatch, source_mutant,
+                                               clause, n):
     # without any one clause some census pair is undecided, so the census
     # cannot be sorted: one FAIL line and exit 1, not an error and exit 2
-    monkeypatch.setattr("piord.order._psi_lt", _psi_lt_without(clause))
+    monkeypatch.setattr(order, "_psi_lt", source_mutant(
+        _psi_lt, _PSI_GUARDS[clause], "if False:"))
     clear_caches()
     try:
         argv = ["--big-n", str(n), "props", "--size-cap", "8"]
