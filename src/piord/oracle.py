@@ -301,19 +301,23 @@ class CheckReport(namedtuple("CheckReport", "name checked failures")):
 def _suite(name, cases, fails):
     """Check every case, an argument tuple for fails (``zip(xs)`` gives
     one-argument cases).  fails(*case) returns None or the case's failure
-    message; a comparison it leaves undecided fails the case too.  A memo
-    checkpoint follows every 1024th case and the last one."""
+    message; an undecided comparison fails its case (drawing one ends
+    the suite).  A memo checkpoint follows every 1024th case and the last."""
     checked = 0
     failures = []
-    for checked, case in enumerate(cases, 1):
-        try:
-            msg = fails(*case)
-        except ComparisonUndecided as exc:
-            msg = str(exc)
-        if msg is not None:
-            failures.append(msg)
-        if not checked % 1024:
-            trim_caches()
+    try:
+        for checked, case in enumerate(cases, 1):
+            try:
+                msg = fails(*case)
+            except ComparisonUndecided as exc:
+                msg = str(exc)
+            if msg is not None:
+                failures.append(msg)
+            if not checked % 1024:
+                trim_caches()
+    except ComparisonUndecided as exc:  # while drawing the next case
+        checked += 1
+        failures.append(str(exc))
     if checked % 1024:
         trim_caches()
     return CheckReport(name, checked, tuple(failures))
@@ -331,8 +335,11 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     The pair suite visits the pairs (i, j), i < j, column by column: every
     i for j = 1, then every i for j = 2, and so on.  While term j stays
     fixed, the memo entries its comparisons made are reused down the whole
-    column, so fewer entries are needed at once.  Its failures are
-    reported in row order all the same, (i, j) ascending.
+    column, so fewer entries are needed at once.  A column is compared in
+    two passes, i against j and j against i for every i; only a column
+    not answered LT and GT throughout, or left undecided, is compared
+    again pair by pair, to record its failures and forward results.
+    Failures are reported in row order all the same, (i, j) ascending.
 
     Transitivity is judged from the forward results the pair suite has
     just computed, not from new comparisons.  This is the same check: a
@@ -385,10 +392,20 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
         if r1 == r2 and r3 != r1:
             return "%s, %s, %s" % tuple(print_ord(terms[x]) for x in (i, j, k))
 
-    pairs = _suite("trichotomy+antisymmetry",
-                   ((i, j) for j in range(n) for i in range(j)), antisymmetric)
-    in_rows = sorted(zip(failed, pairs.failures))
-    pairs = pairs._replace(failures=tuple(msg for _, msg in in_rows))
+    repeat = itertools.repeat
+    msgs = []
+    for j, t in enumerate(terms):
+        try:
+            clean = (list(map(cmp_fresh, terms[:j], repeat(t))).count(LT) == j
+                     == list(map(cmp_fresh, repeat(t), terms[:j])).count(GT))
+        except ComparisonUndecided:
+            clean = False
+        if not clean:
+            msgs += _suite("", zip(range(j), repeat(j)),
+                           antisymmetric).failures
+        trim_caches()
+    pairs = CheckReport("trichotomy+antisymmetry", n * (n - 1) // 2,
+                        tuple(msg for _, msg in sorted(zip(failed, msgs))))
     all_triples = n * (n - 1) * (n - 2) // 6
     if not forward:
         return [pairs, CheckReport("transitivity",

@@ -27,15 +27,16 @@ LT, EQ, GT = -1, 0, 1
 _MEMOS = []
 
 # Entries a memo table may hold right after a checkpoint (a call of
-# trim_caches: every 1024 oracle cases, every census size step, every
-# 16th cli.main call).  The bound is soft: a table may pass it between
-# two checkpoints.  A smaller bound holds less and recomputes more: with
-# this one, `props --size-cap 10 --triples 100000` at N=4 peaks at 19.6 MB
-# instead of 52.5 MB with no bound, and twice it gives 23.8 MB; in 10
-# rotated rounds neither took longer than no bound beyond the host's
-# noise (median ratios 0.96 and 1.01; 2 vCPUs, Python 3.11.7;
-# BENCH_pair_columns.json).  It suffices because the pair suite walks
-# its pairs column by column, reusing each column's entries.
+# trim_caches: each column of the oracle's pair suite, every 1024 other
+# oracle cases, each census size step, every 16th cli.main call).  The
+# bound is soft: a table may pass it between two checkpoints.  A smaller
+# bound holds less and recomputes more: with this one, `props --size-cap
+# 10 --triples 100000` at N=4 peaks at 19.6 MB instead of 52.5 MB with no
+# bound, and twice it gives 23.8 MB; in 10 rotated rounds neither took
+# longer than no bound beyond the host's noise (median ratios 0.96 and
+# 1.01; 2 vCPUs, Python 3.11.7; BENCH_pair_columns.json).  It suffices
+# because the pair suite walks its pairs column by column, reusing each
+# column's entries.
 MEMO_BOUND = 16384
 
 
@@ -97,51 +98,43 @@ _STRATUM = {Veblen: 0, OmegaIdx: 0, Psi: 0, BigKT: 1, OmegaExp: 2}
 
 
 def _cmp_ord(s, t):
-    """Trichotomous comparison; EQ exactly on identical (interned) terms."""
+    """Trichotomous comparison; EQ exactly on identical (interned) terms.
+    CNF parts and term classes are dispatched in this one frame."""
     if s is t:
         return EQ
     sp, tp = s.parts, t.parts
-    if len(sp) == 1 == len(tp):
-        return _cmp_principal(s, t)
-    return _cmp_lex(sp, tp)
-
-
-cmp_ord = memo(_cmp_ord)
-
-
-def _cmp_lex(sp, tp):
-    """Lexicographic comparison of the CNF parts of two distinct terms
-    (equal parts make one interned term); a proper prefix is smaller."""
-    for a, b in zip(sp, tp):
-        c = cmp_ord(a, b)
-        if c != EQ:
-            return c
-    return GT if len(sp) > len(tp) else LT
-
-
-def _cmp_principal(s, t):
-    ra, rb = _STRATUM[type(s)], _STRATUM[type(t)]
-    if ra != rb:
-        return LT if ra < rb else GT
-    if ra == 2:                                   # omega-powers above the top
+    if len(sp) != 1 or len(tp) != 1:    # lexicographic; a prefix is less
+        for a, b in zip(sp, tp):
+            c = cmp_ord(a, b)
+            if c != EQ:
+                return c
+        return GT if len(sp) > len(tp) else LT
+    ts, tt = type(s), type(t)
+    if ts is tt:        # the commonest pairs; two BIG_K are identical
+        if ts is Psi:
+            return _cmp_psi_psi(s, t)
+        if ts is Veblen:
+            return _cmp_veblen_any(s, t)
+        if ts is OmegaIdx:
+            return cmp_ord(s.b, t.b)
         # w^a against w^b is a against b: strip the levels both towers
         # have in one step, so a deep pair neither nests frames nor fills
         # the memo per level
         m = min(s.height, t.height)
         return cmp_ord(tower_down(s, m), tower_down(t, m))
-    # stratum 1 is BIG_K alone, which the identity test has answered
-    ts, tt = type(s), type(t)
+    ra, rb = _STRATUM[ts], _STRATUM[tt]
+    if ra != rb:
+        return LT if ra < rb else GT
     if ts is Veblen:
         return _cmp_veblen_any(s, t)
     if tt is Veblen:
         return -_cmp_veblen_any(t, s)
-    if ts is OmegaIdx and tt is OmegaIdx:
-        return cmp_ord(s.b, t.b)
     if ts is OmegaIdx:
         return -_cmp_psi_omega(t, s)
-    if tt is OmegaIdx:
-        return _cmp_psi_omega(s, t)
-    return _cmp_psi_psi(s, t)
+    return _cmp_psi_omega(s, t)
+
+
+cmp_ord = memo(_cmp_ord)
 
 
 def _cmp_veblen_any(s, t):

@@ -715,20 +715,16 @@ def test_bound_at_max_stage_in_fresh_process():
 def test_props_at_rank_68_in_fresh_process():
     # 66- and 97-entry vectors: irreducibility compares tails with towers
     # of up to 96 levels, by walking head exponents instead of building
-    # them, and the SD cross-check decides each distinct prefix once
-    for n in (68, 99):
+    # them, and the SD cross-check decides each distinct prefix once.  At
+    # N=100, MAX_N, the witness chain nests 197 psi terms, which the
+    # comparator takes within a cold process's recursion limit
+    for n in (68, 99, 100):
         proc = _fresh_cli(["--big-n", str(n), "props", "--size-cap", "3"])
         assert proc.returncode == 0, proc.stderr[-300:]
         lines = proc.stdout.splitlines()
         assert len(lines) == 15
         assert all(" PASS  (" in x for x in lines[:-1]), lines
         assert lines[-1].startswith("sd-unconfirmed 0 ")
-    # at N=100 the witness chain nests 197 psi terms, deeper than the
-    # recursion limit of a cold process allows
-    proc = _fresh_cli(["--big-n", "100", "props", "--size-cap", "3"])
-    assert proc.returncode == 2 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_explicit_zero_vector_claim_fails():

@@ -18,7 +18,8 @@ from piord.terms import (
 import piord.order
 import piord.oracle as oracle
 from piord.order import (
-    PSI11, PSI12, _k_delta, clear_caches, cmp_exp, cmp_ord, rule_tag, GT, LT,
+    PSI11, PSI12, _k_delta, clear_caches, cmp_exp, cmp_ord, rule_tag, EQ, GT,
+    LT,
 )
 from piord.validate import check_ot
 from piord.arith import psi_step, step_vector, theorem_bound
@@ -266,6 +267,31 @@ def test_undecided_comparison_fails_its_suite(monkeypatch, corpus3):
     assert [x for x in lines if " FAIL " in x] == [
         x for x in lines if x.startswith("psi comparison cases")]
     assert err.getvalue() == ""
+
+
+def test_undecided_draw_fails_its_suite(monkeypatch):
+    # a comparison left undecided while a suite draws its next case (the
+    # upward closure filters its candidates with seq_lt) is one failed
+    # case that ends that suite; every other suite still reports
+    def undecided(vec, xi):
+        raise ComparisonUndecided("no clause decides")
+
+    argv = ["--big-n", "4", "props", "--size-cap", "8"]
+    out = io.StringIO()
+    assert cli_main(argv, out, io.StringIO()) == 0
+    before = out.getvalue().splitlines()
+    monkeypatch.setattr(oracle, "seq_lt", undecided)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_main(argv, out, err) == 1
+    lines = out.getvalue().splitlines()
+    assert err.getvalue() == ""
+    assert [x.split()[0] for x in lines] == [x.split()[0] for x in before]
+    assert lines[3] == ("sequence order upward closure FAIL  (1 checked)"
+                        "  e.g. no clause decides")
+    # the irreducible vector bound calls seq_lt too, but only on its
+    # cases, which fail one by one
+    assert lines[4].startswith("irreducible vector bound ")
+    assert lines[:3] + lines[5:] == before[:3] + before[5:]
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -575,6 +601,94 @@ def test_pair_failures_keep_row_order(monkeypatch):
     pair_rec = next(r for r in records
                     if r.get("name") == "trichotomy+antisymmetry")
     assert pair_rec["failures"] == list(expected[:5])
+
+
+def _reference_axioms(terms):
+    # both order-axiom reports as a plain walk finds them: every pair
+    # (i, j), i < j, in row order, then every triple, each from its own
+    # comparisons
+    def compare(i, j):
+        try:
+            return cmp_ord(terms[i], terms[j])
+        except ComparisonUndecided as exc:
+            return str(exc)
+
+    n = len(terms)
+    pair_fails, triple_fails = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        c1 = compare(i, j)
+        c2 = c1 if type(c1) is str else compare(j, i)
+        if type(c2) is str:
+            pair_fails.append(c2)
+        elif (c1, c2) != (LT, GT):
+            pair_fails.append("%s vs %s: %d/%d" % (
+                print_ord(terms[i]), print_ord(terms[j]), c1, c2))
+    for i, j, k in itertools.combinations(range(n), 3):
+        rs = (compare(i, j), compare(j, k), compare(i, k))
+        undecided = [r for r in rs if type(r) is str]
+        if undecided:
+            triple_fails.append(undecided[0])
+        elif rs[0] == rs[1] != rs[2]:
+            triple_fails.append("%s, %s, %s" % tuple(
+                print_ord(terms[x]) for x in (i, j, k)))
+    return [
+        oracle.CheckReport("trichotomy+antisymmetry", n * (n - 1) // 2,
+                           tuple(pair_fails)),
+        oracle.CheckReport("transitivity", n * (n - 1) * (n - 2) // 6,
+                           tuple(triple_fails)),
+    ]
+
+
+@pytest.mark.parametrize("fault", ["wrong", "undecided"])
+def test_unclean_column_is_redone_pair_by_pair(monkeypatch, fault):
+    # two psi pairs in the middle of their columns are answered GT
+    # forward only, or left undecided; a column walk meets (13, 16)
+    # first, a row walk (12, 20).  The two-pass columns that meet them
+    # fall back to the pair walk, and the reports are those of a plain
+    # walk, failure for failure and in row order
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    bad = {(terms[i], terms[j]) for i, j in ((12, 20), (13, 16))}
+    assert all(isinstance(t, Psi) for pair in bad for t in pair)
+    real = piord.order._cmp_psi_psi
+
+    def faulty(s, t):
+        if (s, t) not in bad:
+            return real(s, t)
+        if fault == "wrong":
+            return GT
+        raise ComparisonUndecided("no clause decides %s" % print_ord(t))
+
+    monkeypatch.setattr(piord.order, "_cmp_psi_psi", faulty)
+    clear_caches()
+    try:
+        expected = _reference_axioms(terms)
+        reports = check_order_axioms(corpus)
+    finally:
+        clear_caches()
+    assert reports == expected
+    assert expected[0].failures == {
+        "wrong": ("psi(K; 1) vs psi(K; [0,K]; K): 1/1",
+                  "psi(K; Om(1)) vs psi(K; psi(K; K)): 1/1"),
+        "undecided": ("no clause decides psi(K; [0,K]; K)",
+                      "no clause decides psi(K; psi(K; K))")}[fault]
+    assert not expected[1].ok
+
+
+def test_equal_part_continues_the_part_walk(monkeypatch):
+    # a comparator answering EQ for two distinct psi terms still goes on
+    # to the next CNF part, rather than answering EQ or by length
+    corpus = enumerate_corpus(P4, 6)
+    a, c = corpus.terms[12], corpus.terms[20]
+    real = piord.order._cmp_psi_psi
+    monkeypatch.setattr(piord.order, "_cmp_psi_psi",
+                        lambda s, t: EQ if (s, t) == (a, c) else real(s, t))
+    clear_caches()
+    try:
+        assert cmp_ord(a, c) == EQ
+        assert cmp_ord(mk_sum((a, c)), mk_sum((c, a))) == GT
+    finally:
+        clear_caches()
 
 
 def test_mutated_comparator_is_caught(monkeypatch, corpus4):
