@@ -338,8 +338,9 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     column, so fewer entries are needed at once.  A column is compared in
     two passes, i against j and j against i for every i; only a column
     not answered LT and GT throughout, or left undecided, is compared
-    again pair by pair, to record its failures and forward results.
-    Failures are reported in row order all the same, (i, j) ascending.
+    again pair by pair, to record its failures and forward results.  A
+    memo checkpoint follows every column.  Failures are reported in row
+    order all the same, (i, j) ascending.
 
     Transitivity is judged from the forward results the pair suite has
     just computed, not from new comparisons.  This is the same check: a
@@ -348,7 +349,8 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     comparator answers a pair the same way each time it is asked.  A pair
     the suite left undecided fails every triple that needs it, with the
     same message.  When every forward result is LT, no triple can fail,
-    and none is drawn."""
+    and none is drawn; otherwise each drawn triple is
+    ``sorted(rng.sample(range(n), 3))`` from one ``random.Random(seed)``."""
     terms = corpus.terms
     n = len(terms)
     # every comparison runs the uncached body of the comparator this module
@@ -361,26 +363,21 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     # (i, j) with i < j -> the forward result when it is not LT, or the
     # message of the ComparisonUndecided it raised
     forward = {}
-    # (i, j) of every failing pair, in the order the suite visits them
-    failed = []
 
-    def antisymmetric(i, j):
+    def pair_failure(i, j):
         ti, tj = terms[i], terms[j]
         try:
             c1 = cmp_fresh(ti, tj)
         except ComparisonUndecided as exc:
             forward[i, j] = str(exc)
-            failed.append((i, j))
-            raise
+            return str(exc)
         if c1 != LT:
             forward[i, j] = c1
         try:
             c2 = cmp_fresh(tj, ti)
-        except ComparisonUndecided:
-            failed.append((i, j))
-            raise
+        except ComparisonUndecided as exc:
+            return str(exc)
         if c1 != LT or c2 != GT:
-            failed.append((i, j))
             return "%s vs %s: %d/%d" % (print_ord(ti), print_ord(tj), c1, c2)
 
     def transitive(i, j, k):
@@ -393,7 +390,7 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
             return "%s, %s, %s" % tuple(print_ord(terms[x]) for x in (i, j, k))
 
     repeat = itertools.repeat
-    msgs = []
+    failures = []                       # ((i, j), message) per failing pair
     for j, t in enumerate(terms):
         try:
             clean = (list(map(cmp_fresh, terms[:j], repeat(t))).count(LT) == j
@@ -401,11 +398,11 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
         except ComparisonUndecided:
             clean = False
         if not clean:
-            msgs += _suite("", zip(range(j), repeat(j)),
-                           antisymmetric).failures
+            failures += [((i, j), msg) for i in range(j)
+                         if (msg := pair_failure(i, j)) is not None]
         trim_caches()
     pairs = CheckReport("trichotomy+antisymmetry", n * (n - 1) // 2,
-                        tuple(msg for _, msg in sorted(zip(failed, msgs))))
+                        tuple(msg for _, msg in sorted(failures)))
     all_triples = n * (n - 1) * (n - 2) // 6
     if not forward:
         return [pairs, CheckReport("transitivity",
@@ -413,33 +410,10 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     if all_triples <= triple_sample:
         triples = itertools.combinations(range(n), 3)
     else:
-        triples = _index_triples(n, triple_sample, seed)
+        rng = random.Random(seed)
+        triples = (sorted(rng.sample(range(n), 3))
+                   for _ in range(triple_sample))
     return [pairs, _suite("transitivity", triples, transitive)]
-
-
-def _index_triples(n, count, seed):
-    """count seeded ascending triples of distinct indices below n: for n > 21,
-    the sorted draws of ``random.Random(seed).sample(range(n), 3)``."""
-    # randrange(n) as CPython draws it: n.bit_length() random bits, redrawn
-    # until below n
-    bits = random.Random(seed).getrandbits
-    width = n.bit_length()
-
-    def draw():
-        r = bits(width)
-        while r >= n:
-            r = bits(width)
-        return r
-
-    for _ in range(count):
-        i = draw()
-        j = draw()
-        while j == i:
-            j = draw()
-        k = draw()
-        while k == i or k == j:
-            k = draw()
-        yield sorted((i, j, k))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +451,6 @@ def check_structural_props(corpus):
     all_psis = [t for t in corpus.terms + tuple(witness_terms(params))
                 if isinstance(t, Psi)]
     collapses = [t for t in all_psis if t.m]
-    exps = _exp_pool(corpus)
-    big = [x for x in exps if cmp_exp(x, E_ONE) == GT]
-    head = exps[:30] + [x for x in exps if isinstance(x, LamSum)][:25]
     vecs = [strip_zeros(v) for v in corpus.seqs if strip_zeros(v)]
     seq_pool = list(dict.fromkeys(corpus.seqs + tuple(t.nu for t in all_psis)))
     deltas = [ZERO, BIG_K] + [t for t in corpus.terms
@@ -487,7 +458,17 @@ def check_structural_props(corpus):
     sums = [t for t in corpus.terms if isinstance(t, Sum)][:200]
     sample = all_psis[:80]
 
+    # the exponent pools are built on a suite's first draw, so that a
+    # comparison they leave undecided fails that suite
+    def head_pool():
+        exps = _exp_pool(corpus)
+        return exps[:30] + [x for x in exps if isinstance(x, LamSum)][:25]
+
     # head/tail monotonicity along the exponent order
+    def big_pairs():
+        yield from itertools.combinations(
+            [x for x in _exp_pool(corpus) if cmp_exp(x, E_ONE) == GT], 2)
+
     def head_monotone(x, y):
         lo, hi = (x, y) if cmp_exp(x, y) == LT else (y, x)
         if not (cmp_exp(te(lo), he(lo)) <= EQ
@@ -495,8 +476,11 @@ def check_structural_props(corpus):
             return "%s < %s" % (lo, hi)
 
     # sequence order is upward closed in its bound
-    upward = ((vec, xi, zeta) for vec in vecs for xi in head
-              if seq_lt(vec, xi) for zeta in head if cmp_exp(xi, zeta) <= EQ)
+    def upward():
+        head = head_pool()
+        yield from ((vec, xi, zeta) for vec in vecs for xi in head
+                    if seq_lt(vec, xi)
+                    for zeta in head if cmp_exp(xi, zeta) <= EQ)
 
     def upward_closed(vec, xi, zeta):
         if not seq_lt(vec, zeta):
@@ -504,6 +488,7 @@ def check_structural_props(corpus):
 
     # irreducible vectors sit below anything dominating their first entry
     def dominated():
+        head = head_pool()
         for vec0 in seq_pool:
             if not strip_zeros(vec0) or not irreducible(vec0):
                 continue
@@ -571,9 +556,8 @@ def check_structural_props(corpus):
             return "%s vs %s" % (print_ord(s), print_ord(t))
 
     return [_suite(*s) for s in (
-        ("head exponent monotonicity", itertools.combinations(big, 2),
-         head_monotone),
-        ("sequence order upward closure", upward, upward_closed),
+        ("head exponent monotonicity", big_pairs(), head_monotone),
+        ("sequence order upward closure", upward(), upward_closed),
         ("irreducible vector bound", dominated(), below_dominator),
         ("SD necessary conditions", derivable, sd_conditions),
         ("recorded vectors derivable", zip(collapses), recorded_derivable),
@@ -634,8 +618,11 @@ def sd_cross_check(corpus):
     every vector); vectors passing the conditions without a derivation are
     reported for review, not failed."""
     params = corpus.params
-    exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
     unconfirmed = []
+
+    def vectors():  # the pool is built on the first draw, as in the suites
+        exps = [x for x in _exp_pool(corpus, limit=160) if x.size <= 5]
+        yield from _sparse_vectors(exps, params.n - 2, 2)
 
     def derivable_iff_conditions(*vec):
         d = in_sd(vec)
@@ -648,7 +635,7 @@ def sd_cross_check(corpus):
         elif replay(d, params.n) != vec:
             return "%s replay mismatch" % (print_seq(vec),)
 
-    return _suite("SD cross-check", _sparse_vectors(exps, params.n - 2, 2),
+    return _suite("SD cross-check", vectors(),
                   derivable_iff_conditions), unconfirmed
 
 

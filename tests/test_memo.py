@@ -228,6 +228,19 @@ def test_every_checkpoint_is_reached(monkeypatch, p4):
     calls.clear()
     check_order_axioms(corpus, triple_sample=0)
     assert len(calls) == len(corpus.terms)    # after each column of pairs
+    # and no extra one for a column redone pair by pair for a failing pair
+    a, b = [t for t in corpus.terms if isinstance(t, Psi)][:2]
+    real = order._cmp_psi_psi
+    monkeypatch.setattr(order, "_cmp_psi_psi", lambda s, t: order.GT
+                        if (s, t) == (a, b) else real(s, t))
+    clear_caches()
+    calls.clear()
+    try:
+        tri, _ = check_order_axioms(corpus, triple_sample=0)
+    finally:
+        clear_caches()
+    assert not tri.ok
+    assert len(calls) == len(corpus.terms)
     monkeypatch.setattr("piord.cli.trim_caches", lambda: calls.append(1))
     calls.clear()
     for _ in range(32):

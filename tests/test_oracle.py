@@ -294,6 +294,35 @@ def test_undecided_draw_fails_its_suite(monkeypatch):
     assert lines[:3] + lines[5:] == before[:3] + before[5:]
 
 
+def test_undecided_exponent_pool_fails_its_suites(monkeypatch):
+    # a comparison left undecided while an exponent pool is built is one
+    # failed case of each suite that reads the pool; every other report
+    # is still made, and is the same
+    def undecided(corpus, limit=220):
+        raise ComparisonUndecided("exponent pool undecided")
+
+    def records(code):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli_main(["--big-n", "4", "--format", "json-lines", "props",
+                         "--size-cap", "8"], out, err) == code
+        assert err.getvalue() == ""
+        return [json.loads(line) for line in out.getvalue().splitlines()]
+
+    before = records(0)
+    monkeypatch.setattr(oracle, "_exp_pool", undecided)
+    after = records(1)
+    assert [r.get("name", r["kind"]) for r in after] == \
+        [r.get("name", r["kind"]) for r in before]
+    pool_suites = ["head exponent monotonicity",
+                   "sequence order upward closure",
+                   "irreducible vector bound", "SD cross-check"]
+    assert [r for r in after if not r.get("ok", True)] == [
+        {"kind": "prop", "name": name, "ok": False, "checked": 1,
+         "failures": ["exponent pool undecided"]} for name in pool_suites]
+    assert [r for r in after if r.get("name") not in pool_suites] == \
+        [r for r in before if r.get("name") not in pool_suites]
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_props_match_golden(n):
     out = io.StringIO()
@@ -553,15 +582,10 @@ def test_undecided_pair_fails_every_axiom_case_that_needs_it(monkeypatch):
     assert trans.failures == ("no clause decides",) * 9
 
 
-def test_pair_failures_keep_row_order(monkeypatch):
-    # the pair suite walks column by column, but reports its failures as a
-    # row-by-row walk over i < j finds them; the failing pairs are chosen
-    # so that the two walks meet them in different orders
-    corpus = enumerate_corpus(P4, 6)
-    terms = corpus.terms
-    inverted = {(0, 9), (2, 3), (1, 7), (4, 30)}
-    undecided = {(0, 4), (5, 6), (3, 8), (2, 20)}
-    undecided_back = {(1, 5), (6, 12)}       # only the reverse comparison
+def _faulty_comparator(terms, inverted, undecided, undecided_back):
+    # cmp_ord, but the census pairs (i, j) in inverted are answered the
+    # wrong way round, those in undecided are left undecided both ways,
+    # and those in undecided_back only in the reverse comparison
     index = {t: i for i, t in enumerate(terms)}
 
     def faulty(x, y):
@@ -571,18 +595,20 @@ def test_pair_failures_keep_row_order(monkeypatch):
         c = cmp_ord(x, y)
         return -c if (i, j) in inverted or (j, i) in inverted else c
 
-    expected = []
-    for i, j in itertools.combinations(range(len(terms)), 2):
-        ti, tj = terms[i], terms[j]
-        try:
-            c1, c2 = faulty(ti, tj), faulty(tj, ti)
-        except ComparisonUndecided as exc:
-            expected.append(str(exc))
-            continue
-        if (c1, c2) != (LT, GT):
-            expected.append("%s vs %s: %d/%d" % (
-                print_ord(ti), print_ord(tj), c1, c2))
-    expected = tuple(expected)
+    return faulty
+
+
+def test_pair_failures_keep_row_order(monkeypatch):
+    # the pair suite walks column by column, but reports its failures as a
+    # row-by-row walk over i < j finds them; the failing pairs are chosen
+    # so that the two walks meet them in different orders
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    inverted = {(0, 9), (2, 3), (1, 7), (4, 30)}
+    undecided = {(0, 4), (5, 6), (3, 8), (2, 20)}
+    undecided_back = {(1, 5), (6, 12)}       # only the reverse comparison
+    faulty = _faulty_comparator(terms, inverted, undecided, undecided_back)
+    expected = _reference_axioms(terms, faulty)[0].failures
     assert len(expected) == 10
     failing = inverted | undecided | undecided_back
     by_column = sorted(failing, key=lambda pair: pair[::-1])
@@ -603,13 +629,13 @@ def test_pair_failures_keep_row_order(monkeypatch):
     assert pair_rec["failures"] == list(expected[:5])
 
 
-def _reference_axioms(terms):
+def _reference_axioms(terms, comparator=cmp_ord):
     # both order-axiom reports as a plain walk finds them: every pair
     # (i, j), i < j, in row order, then every triple, each from its own
     # comparisons
     def compare(i, j):
         try:
-            return cmp_ord(terms[i], terms[j])
+            return comparator(terms[i], terms[j])
         except ComparisonUndecided as exc:
             return str(exc)
 
@@ -637,6 +663,26 @@ def _reference_axioms(terms):
         oracle.CheckReport("transitivity", n * (n - 1) * (n - 2) // 6,
                            tuple(triple_fails)),
     ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_pair_faults_match_the_reference(monkeypatch, seed):
+    # seeded sets of inverted, undecided and reverse-only undecided census
+    # pairs: both reports are the plain walk's, failure for failure and in
+    # row order
+    corpus = enumerate_corpus(P4, 6)
+    terms = corpus.terms
+    rng = random.Random(seed)
+    chosen = rng.sample(list(itertools.combinations(range(len(terms)), 2)), 9)
+    faulty = _faulty_comparator(terms, set(chosen[:3]), set(chosen[3:6]),
+                                set(chosen[6:]))
+    expected = _reference_axioms(terms, faulty)
+    monkeypatch.setattr(oracle, "cmp_ord", faulty)
+    assert check_order_axioms(corpus) == expected
+    assert len(expected[0].failures) == 9
+    assert expected[1].checked == len(terms) * (len(terms) - 1) * (
+        len(terms) - 2) // 6
+    assert not expected[1].ok
 
 
 @pytest.mark.parametrize("fault", ["wrong", "undecided"])
@@ -800,13 +846,14 @@ def test_transitivity_draws_triples_only_after_a_non_lt_result(monkeypatch):
     # with every forward result LT no triple can fail, so none is drawn;
     # one pair answering GT, as in test_transitivity_fault_is_caught, draws
     # them as before
-    def draw(n, count, seed):
-        raise _Drawn()
+    class NoDraws(random.Random):
+        def sample(self, population, k):
+            raise _Drawn()
 
     corpus = enumerate_corpus(P4, 7)
     n = len(corpus.terms)
     assert n * (n - 1) * (n - 2) // 6 > 100_000
-    monkeypatch.setattr(oracle, "_index_triples", draw)
+    monkeypatch.setattr(oracle, "random", types.SimpleNamespace(Random=NoDraws))
     _, trans = check_order_axioms(corpus)
     assert trans == ("transitivity", 100_000, ())
     assert trans.line().split() == [
@@ -826,18 +873,6 @@ def test_transitivity_draws_triples_only_after_a_non_lt_result(monkeypatch):
             check_order_axioms(corpus, triple_sample=1_000)
     finally:
         clear_caches()
-
-
-@pytest.mark.parametrize("seed", [0, 20240809])
-def test_seeded_triples_are_unchanged(seed):
-    # above 21 items, the draws of random.sample(range(n), 3), sorted
-    for n in (22, 41, 1227):
-        rng = random.Random(seed)
-        expected = [sorted(rng.sample(range(n), 3)) for _ in range(2000)]
-        assert list(oracle._index_triples(n, 2000, seed)) == expected
-    for n in (3, 10, 21):
-        for i, j, k in oracle._index_triples(n, 2000, seed):
-            assert 0 <= i < j < k < n
 
 
 @pytest.mark.parametrize("triples", [0, 100_000], ids=["pairs", "default"])
