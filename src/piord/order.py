@@ -92,9 +92,9 @@ def rule_tag(t):
 # cmp on ordinal terms
 # ---------------------------------------------------------------------------
 
-# strata for cross-class principal comparison: everything below the top
-# term, the top term itself, omega-powers above it
-_STRATUM = {Veblen: 0, OmegaIdx: 0, Psi: 0, BigKT: 1, OmegaExp: 2}
+# strata for cross-class comparison of zero and principal terms: zero, the
+# rest below the top term, the top term itself, omega-powers above it
+_STRATUM = {ZeroT: -1, Veblen: 0, OmegaIdx: 0, Psi: 0, BigKT: 1, OmegaExp: 2}
 
 
 def _cmp_ord(s, t):
@@ -102,14 +102,16 @@ def _cmp_ord(s, t):
     CNF parts and term classes are dispatched in this one frame."""
     if s is t:
         return EQ
-    sp, tp = s.parts, t.parts
-    if len(sp) != 1 or len(tp) != 1:    # lexicographic; a prefix is less
+    ts, tt = type(s), type(t)
+    if ts is Sum or tt is Sum:
+        # lexicographic on CNF parts, a prefix being less: zero, whose
+        # parts are (), lies below every sum
+        sp, tp = s.parts, t.parts
         for a, b in zip(sp, tp):
             c = cmp_ord(a, b)
             if c != EQ:
                 return c
         return GT if len(sp) > len(tp) else LT
-    ts, tt = type(s), type(t)
     if ts is tt:        # the commonest pairs; two BIG_K are identical
         if ts is Psi:
             return _cmp_psi_psi(s, t)
@@ -164,43 +166,59 @@ def _cmp_psi_omega(p, om):
         return LT if cmp_ord(pi.b, alpha) <= EQ else GT
     # p names an Omega-fixed point: Om_alpha < p iff alpha < p
     c = cmp_ord(p, alpha)
-    if c == LT:
-        return LT
-    if cmp_ord(alpha, p) == LT:
-        return GT
-    raise ComparisonUndecided("Omega index ties a psi term: %r vs %r" % (om, p))
+    if c == EQ:
+        raise ComparisonUndecided(
+            "Omega index ties a psi term: %r vs %r" % (om, p))
+    return c
 
 
 def _cmp_psi_psi(s, t):
-    if _psi_lt(s, t):
+    """psi_pi^nu(b) against psi_ka^xi(a): LT when s < t by the four-clause
+    test, else GT when t < s, else undecided.  Both tests are asked from
+    the same three facts, cmp(pi, t), cmp(b, a) and cmp(ka, s), the test
+    of t < s reading them as mirrors.  The last is asked the way round
+    that the test of s < t states it: as s < ka in clause 2, when b < a.
+    Clause 2 on one side and clause 3 on the other walk the same K-set
+    test; when b != a it is walked once here and handed to both."""
+    pit = cmp_ord(s.pi, t)
+    if pit <= EQ:                                                   # clause 1
         return LT
-    if _psi_lt(t, s):
+    c = cmp_ord(s.a, t.a)
+    kas = -cmp_ord(s, t.pi) if c == LT else cmp_ord(t.pi, s)
+    k = None
+    if c != EQ and kas == GT:
+        k = _ks_lt(s, t) if c == LT else _ks_lt(t, s)
+    if _psi_lt_by(s, t, c, kas, k):
+        return LT
+    if kas <= EQ:                                       # clause 1 for t < s
+        return GT
+    if _psi_lt_by(t, s, -c, pit, k):
         return GT
     raise ComparisonUndecided("psi comparison undecided: %r vs %r" % (s, t))
 
 
-def _psi_lt(s, t):
-    """The four-clause test for psi_pi^nu(b) < psi_ka^xi(a)."""
-    pi, nu, b = s.pi, s.nu, s.a
-    ka, xi, a = t.pi, t.nu, t.a
-    if cmp_ord(pi, t) <= EQ:                                        # clause 1
+def _ks_lt(s, t):
+    """K_t(pi, b, nu) < a for s = psi_pi^nu(b) and t = psi_ka^xi(a)."""
+    a = t.a
+    return ks_below(t, (s.pi, s.a), a) and ks_below(t, s.nu_comps, a)
+
+
+def _psi_lt_by(s, t, c, kas, k):
+    """Clauses 2-4 of psi_pi^nu(b) < psi_ka^xi(a), asked from c = cmp(b, a)
+    and kas = cmp(ka, s); k is the K-set test that clause 2 or 3 needs
+    when the caller walked it (b != a), else None."""
+    if c == LT:
+        if kas == GT:                                               # clause 2
+            return k
+        return False
+    # guard: with ka <= s any genuine t satisfies t < ka <= s, so a firing
+    # could only certify an ill-formed right-hand side
+    if kas == GT and not (_ks_lt(t, s) if k is None else k):        # clause 3
         return True
-    c = cmp_ord(b, a)
-    if c == LT:                                                     # clause 2
-        if cmp_ord(s, ka) == LT:
-            if ks_below(t, (pi, b), a) and ks_below(t, s.nu_comps, a):
-                return True
-    else:                                                           # clause 3
-        # guard: with ka <= s any genuine t satisfies t < ka <= s, so a
-        # firing could only certify an ill-formed right-hand side
-        if cmp_ord(ka, s) == GT:
-            if not (ks_below(s, (ka, a), b) and ks_below(s, t.nu_comps, b)):
-                return True
-        if c == EQ and pi is ka:                                    # clause 4
-            if ks_below(t, s.nu_comps, a):
-                from .cnf import lx_lt
-                if lx_lt(nu, xi):
-                    return True
+    if c == EQ and s.pi is t.pi:                                    # clause 4
+        if ks_below(t, s.nu_comps, t.a):
+            from .cnf import lx_lt
+            return lx_lt(s.nu, t.nu)
     return False
 
 

@@ -17,7 +17,7 @@ from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
 from piord.errors import PiordError
 from piord.oracle import default_size_cap, enumerate_corpus
-from piord.order import LT, _psi_lt, clear_caches, cmp_ord
+from piord.order import LT, clear_caches, cmp_ord
 from piord.params import SystemParams
 from piord.syntax import MAX_NUMERAL, parse_ord, print_ord, print_seq
 from piord.terms import BIG_K, ONE, ZERO, m_vec
@@ -330,6 +330,17 @@ def test_kset_and_mvec():
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: no formation rule shapes ")
+
+
+def test_cmp_of_an_omega_index_that_ties_a_psi_term():
+    # Om(p) against the psi term p it indexes is undecided from either side
+    for argv in (["cmp", "psi(K; 0)", "Om(psi(K; 0))"],
+                 ["cmp", "Om(psi(K; 0))", "psi(K; 0)"]):
+        clear_caches()
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: Omega index ties a psi term: "
+                       "Om(psi(K; 0)) vs psi(K; 0)\n"), argv
 
 
 def test_sd_command():
@@ -736,14 +747,17 @@ def test_explicit_zero_vector_claim_fails():
     assert code == 0 and "Psi9" in out
 
 
-# the guard of each of order._psi_lt's four clauses; clause 2's is its
+# the guard of each of the psi order's four clauses, with the function of
+# order that holds it: clause 1 opens _cmp_psi_psi, and clauses 2-4 are in
+# _psi_lt_by, which both sides of a comparison ask; clause 2's is its
 # inner guard, because dropping `if c == LT:` would send LT cases into
 # clauses 3 and 4 instead of removing clause 2
 _PSI_GUARDS = {
-    1: "if cmp_ord(pi, t) <= EQ:",
-    2: "if cmp_ord(s, ka) == LT:",
-    3: "if cmp_ord(ka, s) == GT:",
-    4: "if c == EQ and pi is ka:",
+    1: ("_cmp_psi_psi", "if pit <= EQ:"),
+    2: ("_psi_lt_by", "if kas == GT:"),
+    3: ("_psi_lt_by",
+        "if kas == GT and not (_ks_lt(t, s) if k is None else k):"),
+    4: ("_psi_lt_by", "if c == EQ and s.pi is t.pi:"),
 }
 
 
@@ -769,8 +783,9 @@ def test_props_reports_a_census_it_cannot_sort(monkeypatch, source_mutant,
                                                clause, n):
     # without any one clause some census pair is undecided, so the census
     # cannot be sorted: one FAIL line and exit 1, not an error and exit 2
-    monkeypatch.setattr(order, "_psi_lt", source_mutant(
-        _psi_lt, _PSI_GUARDS[clause], "if False:"))
+    name, guard = _PSI_GUARDS[clause]
+    monkeypatch.setattr(order, name, source_mutant(
+        getattr(order, name), guard, "if False:"))
     clear_caches()
     try:
         argv = ["--big-n", str(n), "props", "--size-cap", "8"]

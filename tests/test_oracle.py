@@ -116,6 +116,23 @@ def test_census_build_comparison_count(monkeypatch):
     assert calls[0] <= 26_886
 
 
+def test_pair_suite_sub_comparison_count():
+    # work, not wall time: a psi pair asks t < s from the facts s < t
+    # already has, so each comparison asks cmp(pi, t), cmp(b, a) and
+    # cmp(ka, s) once (10 053 computed sub-comparisons when t < s asked
+    # their mirrors again); the table holds every entry, as no checkpoint
+    # here passes MEMO_BOUND
+    corpus = enumerate_corpus(P4, 8)
+    clear_caches()
+    try:
+        reports = check_order_axioms(corpus)
+        info = cmp_ord.cache_info()
+    finally:
+        clear_caches()
+    assert all(r.ok for r in reports)
+    assert info.currsize == info.misses <= 8_671
+
+
 def _raw_terms(n, cap):
     """Every ordinal term of at most cap symbols the raw constructors build
     from smaller raw terms, with no side condition: sum parts in any order,
