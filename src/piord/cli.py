@@ -383,6 +383,15 @@ def console_main():
         # the output goes to devnull, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    # the interpreter's shutdown collections run even with the collector
+    # off, over every tracked object: about 12 400 after `cmp`, mostly
+    # the heap that `site` builds, and about 5 ms of a 46 ms `cmp`
+    # process.  They skip frozen objects, and skipping loses nothing:
+    # piord leaves no cycles (test_piord_leaves_no_garbage_cycles),
+    # Python does not promise __del__ for objects alive at exit, stdout
+    # is flushed above and an --out file is closed by its `with`.  atexit
+    # hooks, the stream flushes and module teardown still run as usual.
+    gc.freeze()
     sys.exit(code)
 
 

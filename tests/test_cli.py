@@ -577,20 +577,47 @@ def test_main_leaves_the_callers_collector(enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_console_main_runs_without_the_collector():
-    # collections are counted from console_main's start to the exit hook,
-    # which runs before the interpreter's own collection at shutdown
+def _console_main_with_exit_hook(argv):
+    # the exit hook runs after console_main and before the interpreter's
+    # own collections at shutdown; it writes the collections counted
+    # since console_main's start, and the objects still tracked, which
+    # those shutdown collections would scan (frozen ones are not)
     code = ("import atexit, gc, sys; from piord import cli; n = [0]; "
             "gc.callbacks.append("
             "lambda phase, info: n.__setitem__(0, n[0] + (phase == 'start')));"
-            " atexit.register(lambda: sys.stderr.write('gc %d\\n' % n[0])); "
-            "sys.argv = ['piord', 'enumerate', '--size-cap', '9']; "
-            "cli.console_main()")
+            " atexit.register(lambda: sys.stderr.write("
+            "'gc %%d tracked %%d\\n' %% (n[0], len(gc.get_objects())))); "
+            "sys.argv = ['piord'] + %r; cli.console_main()" % (argv,))
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
+    lines = proc.stderr.splitlines(keepends=True)
+    collections, tracked = re.fullmatch(r"gc (\d+) tracked (\d+)\n",
+                                        lines.pop()).groups()
+    return proc, "".join(lines), int(collections), int(tracked)
+
+
+def test_console_main_runs_without_the_collector():
+    proc, err, collections, tracked = _console_main_with_exit_hook(
+        ["enumerate", "--size-cap", "9"])
     assert proc.returncode == 0, proc.stderr[-300:]
     assert len(proc.stdout.splitlines()) == 505
-    assert proc.stderr == "gc 0\n"
+    assert err == "" and collections == 0
+    assert tracked < 100        # about 26 000 without the freeze at exit
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["cmp", "0", "K"], 0, "<\n", ""),
+    (["check", "Om(K)"], 1, "fail Om(K): index in range: K\n", ""),
+    (["cmp", "--nosuch", "0", "K"], 2, "",
+     "error: unrecognized option --nosuch for cmp\n"),
+], ids=["cmp", "check-fails", "usage-error"])
+def test_console_main_leaves_nothing_to_collect_at_exit(argv, code, out, err):
+    # every exit code ends with the heap frozen (about 12 400 tracked
+    # objects after `cmp 0 K` without the freeze) and the output main gives
+    assert run(argv) == (code, out, err)
+    proc, proc_err, collections, tracked = _console_main_with_exit_hook(argv)
+    assert (proc.returncode, proc.stdout, proc_err) == (code, out, err)
+    assert collections == 0 and tracked < 100
 
 
 def test_text_commands_import_no_dataclasses_inspect_or_json():
@@ -621,6 +648,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
         assert proc.returncode == 2 and proc.stdout == "", out
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_out_file_holds_what_stdout_prints(tmp_path):
+    # neither the file nor the stream may lose buffered output on the way
+    # out of a fresh process
+    path = tmp_path / "census"
+    argv = [sys.executable, "-m", "piord.cli", "enumerate", "--size-cap", "9"]
+    printed = subprocess.run(argv, capture_output=True)
+    written = subprocess.run(argv + ["--out", str(path)], capture_output=True)
+    assert printed.returncode == written.returncode == 0
+    assert printed.stderr == written.stdout == written.stderr == b""
+    assert len(printed.stdout.splitlines()) == 505
+    assert path.read_bytes() == printed.stdout
 
 
 def test_closed_stdout_exits_1_without_traceback():
