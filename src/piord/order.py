@@ -99,14 +99,22 @@ _STRATUM = {ZeroT: -1, Veblen: 0, OmegaIdx: 0, Psi: 0, BigKT: 1, OmegaExp: 2}
 
 def _cmp_ord(s, t):
     """Trichotomous comparison; EQ exactly on identical (interned) terms.
-    CNF parts and term classes are dispatched in this one frame."""
+    CNF parts and term classes are dispatched in this one frame.  A sum
+    and a principal term are compared by their heads alone: the parts walk
+    would ask that one sub-question of them, in the same direction, so the
+    answers, errors and memo entries are the walk's."""
     if s is t:
         return EQ
     ts, tt = type(s), type(t)
     if ts is Sum or tt is Sum:
         # lexicographic on CNF parts, a prefix being less: zero, whose
-        # parts are (), lies below every sum
+        # parts are (), lies below every sum, and a sum lies above its
+        # own head (EQ is 0, so `or` turns a tie of heads into that)
         sp, tp = s.parts, t.parts
+        if len(tp) == 1:
+            return cmp_ord(sp[0], t) or GT
+        if len(sp) == 1:
+            return cmp_ord(s, tp[0]) or LT
         for a, b in zip(sp, tp):
             c = cmp_ord(a, b)
             if c != EQ:

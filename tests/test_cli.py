@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from piord import cli, order
+from piord import cli, oracle, order
 from piord.cli import main
 from piord.arith import MAX_STAGE, theorem_bound
 from piord.errors import PiordError
@@ -841,3 +841,28 @@ def test_props_reports_a_census_it_cannot_sort(monkeypatch, source_mutant,
     assert json.loads(out) == {"kind": "prop", "name": "census order",
                                "ok": False, "checked": 1,
                                "failures": [example]}
+
+
+@pytest.mark.parametrize("old, new", [("or GT", "or LT"), ("or LT", "or GT")],
+                         ids=["sum-below-its-head", "head-above-its-sum"])
+def test_props_sees_a_sum_tie_its_head_the_wrong_way(monkeypatch,
+                                                      source_mutant, old, new):
+    # the oracle compares with a comparator that turns the tie of a sum
+    # and its own head around: the pair suite must see the two directions
+    # disagree, a FAIL line and exit 1
+    monkeypatch.setattr(oracle, "cmp_ord",
+                        source_mutant(order._cmp_ord, old, new))
+    clear_caches()
+    try:
+        argv = ["--big-n", "4", "props", "--size-cap", "8"]
+        code, text, err = run(argv)
+        json_code, out, json_err = run(["--format", "json-lines"] + argv)
+    finally:
+        clear_caches()
+    assert code == json_code == 1 and err == json_err == ""
+    name, ok, checked, example = _prop_line(text.splitlines()[0])
+    assert (name, ok) == ("trichotomy+antisymmetry", False) and example
+    record = json.loads(out.splitlines()[0])
+    assert (record["name"], record["ok"], record["checked"]) == (
+        name, False, checked)
+    assert record["failures"][0] == example

@@ -153,6 +153,26 @@ def test_k_delta_stores_no_entry_per_tower_level(p4):
     assert expected == {ONE}
 
 
+@pytest.mark.parametrize("x, y, entries", [
+    ("K+1", "K", 2), ("K", "K+1", 2),
+    ("K+1", "w^(K+1)", 2), ("w^(K+1)", "K+1", 2),
+    ("psi(K; K)+1", "psi(K; K)", 2), ("psi(K; K)", "psi(K; K)+1", 2),
+    ("0", "K+1", 1), ("K+1", "0", 1),
+])
+def test_a_sum_meets_a_principal_term_through_its_head(p4, x, y, entries):
+    # a sum against a principal term asks one sub-question, the heads, in
+    # the pair's direction; zero against a sum asks none.  Each head pair
+    # here is decided without a further question.
+    x, y = parse_ord(x, p4), parse_ord(y, p4)
+    clear_caches()
+    try:
+        order.cmp_ord(x, y)
+        info = order.cmp_ord.cache_info()
+    finally:
+        clear_caches()
+    assert info.currsize == info.misses == entries
+
+
 def test_k_sets_share_one_object_per_content(p4):
     # _k_delta builds a union only when two different non-empty sets meet
     # and keeps one object per content, so its table holds no copies

@@ -42,6 +42,40 @@ def test_sum_lexicographic():
     assert cmp_ord(t("K"), t("K+K")) == LT
     assert cmp_ord(t("K+K"), t("K+K+K")) == LT
     assert cmp_ord(t("phi(0,0)"), t("K")) == LT
+    # a sum above its own head, zero below a sum: both orders
+    for low, high in (("K", "K+1"), ("0", "K+1"),
+                      ("psi(K; K)", "psi(K; K)+1")):
+        assert cmp_ord(t(low), t(high)) == LT, (low, high)
+        assert cmp_ord(t(high), t(low)) == GT, (low, high)
+
+
+def _parts_walk(s, u):
+    """The order read off the CNF: lexicographic over the parts, a proper
+    prefix below, cmp_ord asked only of principal parts."""
+    for a, b in zip(s.parts, u.parts):
+        c = cmp_ord(a, b)
+        if c != EQ:
+            return c
+    return (len(s.parts) > len(u.parts)) - (len(s.parts) < len(u.parts))
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_sums_compare_as_the_parts_walk(params):
+    # cmp_ord decides a sum against a principal term by the heads alone;
+    # every census pair with a sum or zero on a side must agree with the walk
+    terms = enumerate_corpus(params, 8).terms
+    kinds = set()
+    for x in terms:
+        for y in terms:
+            if len(x.parts) == 1 == len(y.parts):
+                continue
+            assert cmp_ord(x, y) == _parts_walk(x, y), (x, y)
+            kinds.add((min(len(x.parts), 2), min(len(y.parts), 2),
+                       x.parts[:1] == y.parts[:1]))
+    # sum/principal, principal/sum and sum/sum, each with equal heads and
+    # with different ones, and zero against a sum
+    assert {(2, 1, True), (1, 2, True), (2, 2, True), (0, 2, False),
+            (2, 1, False), (1, 2, False), (2, 2, False)} <= kinds
 
 
 def test_veblen_comparison():
