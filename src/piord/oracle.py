@@ -104,11 +104,13 @@ def enumerate_corpus(params, size_cap):
         _gen_psi(s, ot_by_size, e_by_size, params, keep)
         if s <= e_cap:
             _gen_exps(s, ot_by_size, e_by_size)
+        # the checkpoint comes before the sort, so that the next size
+        # step's build finds the entries this sort makes
+        trim_caches()
         # later classes are built from sorted ones, so they come out
         # nearly sorted and the final sort, which keeps the guarantee,
         # finds long runs
         ot_by_size[s].sort(key=functools.cmp_to_key(cmp_ord))
-        trim_caches()
 
     terms = [t for s in range(size_cap + 1) for t in ot_by_size[s]]
     terms.sort(key=functools.cmp_to_key(cmp_ord))

@@ -30,14 +30,18 @@ _MEMOS = []
 # trim_caches: each column of the oracle's pair suite, every 1024 other
 # oracle cases, each census size step, every 16th cli.main call).  The
 # bound is soft: a table may pass it between two checkpoints.  A smaller
-# bound holds less and recomputes more: with this one, `props --size-cap
-# 10 --triples 100000` at N=4 peaks at 19.6 MB instead of 52.5 MB with no
-# bound, and twice it gives 23.8 MB; in 10 rotated rounds neither took
-# longer than no bound beyond the host's noise (median ratios 0.96 and
-# 1.01; 2 vCPUs, Python 3.11.7; BENCH_pair_columns.json).  It suffices
-# because the pair suite walks its pairs column by column, reusing each
-# column's entries.
-MEMO_BOUND = 16384
+# bound holds less and recomputes more.  `props --size-cap 10 --triples
+# 100000` at N=4 peaks, in-process, at 18.9 MB with 16384, 18.5 MB with
+# 12288, 17.8 MB with 10240, 17.4 MB with 8192 and 17.5 MB with 6144 and
+# with 4096 (16.5 MB with 0, 49.4 MB with no bound).  At 8192 the peak
+# comes in the pair suite but is within 0.2 MB of what the census holds
+# when it ends, so a smaller bound gains little, and it computes more:
+# calls into order and validate are +0.9% at 8192, +2.0% at 6144, +3.4%
+# at 4096 and +36% at 0 against 16384.  The pair suite loses little to
+# the trims because it walks its pairs column by column and reuses
+# mostly each column's own entries.  A query session's tables stay below
+# the bound.  (2 vCPUs, Python 3.11.7; BENCH_memo_8192.json.)
+MEMO_BOUND = 8192
 
 
 def memo(fn):

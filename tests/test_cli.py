@@ -233,6 +233,23 @@ def test_query_operations_digest():
     assert digest.hexdigest() == QUERY_DIGEST
 
 
+def test_query_operations_stay_below_the_memo_bound():
+    # a query session starts with empty tables and never reaches a
+    # checkpoint's bound, so no checkpoint empties a table it could reuse;
+    # its largest table, the comparison memo, reaches about 7 500 entries
+    argvs = _query_argvs()
+    clear_caches()
+    peak = 0
+    try:
+        for argv in argvs:
+            main(argv, io.StringIO(), io.StringIO())
+            peak = max(peak, *(m.cache_info().currsize
+                               for m in order._MEMOS))
+    finally:
+        clear_caches()
+    assert order.MEMO_BOUND // 2 < peak < order.MEMO_BOUND
+
+
 def test_parsed_namespaces_share_no_state():
     # the defaults are worked out once per process; a caller that changes
     # its namespace changes no later call's

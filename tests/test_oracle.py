@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 import types
 
 import pytest
@@ -104,25 +105,44 @@ def test_census_build_comparison_count(monkeypatch):
     # work, not wall time: each size class is sorted as it is built, so
     # the later classes come out nearly sorted and the final sort finds
     # long runs (32 794 calls when only the whole census was sorted); the
-    # digests above pin that the census stays the same
+    # digests above pin that the census stays the same.  Each size step's
+    # checkpoint comes before its sort, so the entries the sort makes are
+    # there for the next step: the comparator's body runs 47 099 times
+    # from empty tables, 54 006 with the checkpoint after the sort
     calls = [0]
+    bodies = [0]
 
     def counting(x, y):
         calls[0] += 1
         return cmp_ord(x, y)
 
+    def profile(frame, event, arg):
+        bodies[0] += event == "call" and frame.f_code is body
+
+    body = piord.order._cmp_ord.__code__
     monkeypatch.setattr(oracle, "cmp_ord", counting)
-    assert len(enumerate_corpus(P4, 11).terms) == 3029
+    clear_caches()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        terms = enumerate_corpus(P4, 11).terms
+    finally:
+        sys.setprofile(previous)
+        clear_caches()
+    assert len(terms) == 3029
     assert calls[0] <= 26_886
+    assert bodies[0] <= 47_099
 
 
-def test_pair_suite_sub_comparison_count():
+def test_pair_suite_sub_comparison_count(monkeypatch):
     # work, not wall time: a psi pair asks t < s from the facts s < t
     # already has, so each comparison asks cmp(pi, t), cmp(b, a) and
     # cmp(ka, s) once (10 053 computed sub-comparisons when t < s asked
-    # their mirrors again); the table holds every entry, as no checkpoint
-    # here passes MEMO_BOUND
+    # their mirrors again); with no bound the table keeps every entry, so
+    # its size counts them all (the default bound empties it at a
+    # checkpoint)
     corpus = enumerate_corpus(P4, 8)
+    monkeypatch.setattr(piord.order, "MEMO_BOUND", float("inf"))
     clear_caches()
     try:
         reports = check_order_axioms(corpus)
