@@ -5,13 +5,13 @@ from .params import SystemParams
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
     EOrd, LamSum, OmegaExp, OmegaIdx, Psi, Sum, Veblen,
-    collapsing_series, m_vec, pd, pd_iter, prec, prec_eq,
+    collapsing_series, m_vec,
 )
-from .order import EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta
+from .order import EQ, GT, LT, cmp_exp, cmp_ord, k_delta
 from .validate import ValidationReport, check_ot, rule_vs_series
 from .arith import (
-    add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
-    psi, psi0, psiK, psi_sd, psi_step, theorem_bound, veblen,
+    add, omega_exp, omega_idx, omega_tower,
+    psi, psi0, psiK, psi_sd, psi_step, theorem_bound,
 )
 from .sd import in_sd, replay, sd_necessary_conditions
 from .syntax import parse_ord, parse_seq, print_ord, print_seq

@@ -1,17 +1,17 @@
-"""Normalizing constructors: sums, omega-powers, Veblen, Omega, psi builders,
+"""Normalizing constructors: sums, omega-powers, Omega, psi builders,
 towers, and the proof-theoretic bound pipeline.
 
 Every constructor returns a validated term or raises; these are the only
 construction paths the library surface exposes.
 """
 
-from .errors import ArgsNotBelowK, LimitExceeded, OutOfRange, ValidationError
-# mk_sum is not called here (sums are built by from_parts), but the
-# benchmark's layer map, perfbench/layers.json, names piord.arith.mk_sum.
+from .errors import LimitExceeded, OutOfRange, ValidationError
+# mk_sum is not called here (add builds sums), but the benchmark's layer
+# map, perfbench/layers.json, names piord.arith.mk_sum.
 from .terms import (
     BIG_K, ONE, ZERO,
     OmegaExp, Psi, Veblen,
-    from_parts, is_strongly_critical, mk_eord, mk_omega_exp,
+    is_strongly_critical, mk_eord, mk_omega_exp,
     mk_omega_idx, mk_psi, mk_sum, mk_veblen, tower_up, zero_vec,
 )
 from .order import GT, LT, PSI10, PSI11, cmp_ord
@@ -20,58 +20,23 @@ from .cnf import add, exp_add, from_pairs
 from .validate import ValidationReport, check_ot
 
 __all__ = [
-    "add", "natural_sum", "from_int", "omega_exp", "veblen",
-    "omega_idx", "psi", "psi0", "psiK", "step_vector", "psi_step", "psi_sd",
+    "add", "omega_exp", "omega_idx",
+    "psi", "psi0", "psiK", "step_vector", "psi_step", "psi_sd",
     "omega_tower", "theorem_bound",
 ]
 
 
-def natural_sum(a, b):
-    """Commutative sum: merge the two part multisets, largest first."""
-    merged = []
-    pa, pb = a.parts, b.parts
-    i = j = 0
-    while i < len(pa) and j < len(pb):
-        if cmp_ord(pa[i], pb[j]) == LT:
-            merged.append(pb[j])
-            j += 1
-        else:
-            merged.append(pa[i])
-            i += 1
-    merged.extend(pa[i:])
-    merged.extend(pb[j:])
-    return from_parts(tuple(merged))
-
-
-def from_int(k):
-    """The canonical finite ordinal: k summands phi(0,0)."""
-    if k < 0:
-        raise ValueError("finite ordinals are non-negative")
-    return from_parts((ONE,) * k)
-
-
 def omega_exp(b):
-    """omega**b: strongly critical terms are fixed; below the top term this
-    is the first Veblen level, above it the dedicated constructor."""
+    """omega**b: strongly critical terms and the Veblen terms phi(c,g) with
+    c > 0 are fixed; below the top term this is the first Veblen level,
+    above it the dedicated constructor."""
     if is_strongly_critical(b):
         return b
     if cmp_ord(b, BIG_K) == GT:
         return mk_omega_exp(b)
-    return veblen(ZERO, b)
-
-
-def veblen(b, g):
-    """Binary Veblen normalization for arguments below the top term."""
-    for x in (b, g):
-        if cmp_ord(x, BIG_K) != LT:
-            raise ArgsNotBelowK(repr(x))
-    if isinstance(g, Veblen) and cmp_ord(g.b, b) == GT:
-        return g
-    if is_strongly_critical(g) and cmp_ord(b, g) == LT:
-        return g
-    if g is ZERO and is_strongly_critical(b):
+    if isinstance(b, Veblen) and b.b is not ZERO:
         return b
-    return mk_veblen(b, g)
+    return mk_veblen(ZERO, b)
 
 
 def omega_idx(b):

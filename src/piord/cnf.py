@@ -1,29 +1,26 @@
 """Structural relations on exponent terms in base-CNF form.
 
-Covers head/tail data, parts and iterated tail parts, the sequence orders,
-step-downs, the sp-relations, the head-exponent lexicographic order,
-CNF sums, and irreducibility of coefficient vectors.
+Covers head and tail exponents, parts, the sequence order, step-downs of
+exponents and of vectors, the head-exponent lexicographic order, CNF
+sums, and irreducibility of coefficient vectors.
 
 Every exponent is handled through its ``pairs``, the (exponent,
 coefficient) pairs with strictly decreasing exponents; a plain ordinal
 term is the degenerate single pair with exponent zero.
 """
 
-from .errors import NoWitness, UndefinedOnZero
+from .errors import UndefinedOnZero
 from .terms import (
-    E_ZERO, ONE, LamSum,
+    E_ZERO, LamSum,
     from_parts, is_zero_vec, mk_eord, mk_lamsum, strip_zeros,
 )
 from .order import EQ, GT, LT, cmp_exp, cmp_ord
 
 __all__ = [
-    "pairs", "from_pairs", "lam_of", "is_strict_exp",
-    "he", "te", "tl", "head_tail", "he_iter", "te_iter",
-    "is_part", "all_parts", "iterated_tail_parts",
-    "seq_lt", "seq_lt_k", "step_down", "vec_step_down",
-    "sp_le", "sp_lt", "vec_sp", "sp_position", "lx_lt",
-    "exp_add", "drop_tail",
-    "irreducible", "irreducible_reduct",
+    "pairs", "from_pairs", "is_strict_exp",
+    "he", "te", "he_iter", "all_parts",
+    "seq_lt", "step_down", "vec_step_down", "vec_sp", "lx_lt",
+    "exp_add", "irreducible",
 ]
 
 # ---------------------------------------------------------------------------
@@ -44,11 +41,6 @@ def from_pairs(ps):
     return mk_lamsum(ps)
 
 
-def lam_of(e):
-    """The single base-power with exponent e and coefficient 1."""
-    return from_pairs(((e, ONE),))
-
-
 def is_strict_exp(x):
     """True when x lies in the strict exponent grammar: a pure base-power
     sum carries no zero exponent."""
@@ -58,7 +50,7 @@ def is_strict_exp(x):
 
 
 # ---------------------------------------------------------------------------
-# Head and tail data
+# Head and tail exponents
 # ---------------------------------------------------------------------------
 
 def he(x):
@@ -75,48 +67,18 @@ def te(x):
     return x.pairs[-1][0]
 
 
-def tl(x):
-    if x is E_ZERO:
-        raise UndefinedOnZero("tail of 0")
-    return from_pairs(x.pairs[-1:])
-
-
-def head_tail(x):
-    """(he, te, Hd, Tl) of a non-zero exponent."""
-    ps = x.pairs
-    if not ps:
-        raise UndefinedOnZero("head/tail data of 0")
-    return ps[0][0], ps[-1][0], from_pairs(ps[:1]), from_pairs(ps[-1:])
-
-
-def _iter_exp(x, i, pick):
-    cur = x
-    for _ in range(i):
-        if cur is None or cur is E_ZERO:
-            return None
-        cur = pick(cur)
-    return cur
-
-
 def he_iter(x, i):
     """he applied i times; None once the chain hits zero."""
-    return _iter_exp(x, i, he)
-
-
-def te_iter(x, i):
-    """te applied i times; None once the chain hits zero."""
-    return _iter_exp(x, i, te)
+    for _ in range(i):
+        if x is E_ZERO:
+            return None
+        x = he(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
 # Parts
 # ---------------------------------------------------------------------------
-
-def is_part(z, x):
-    """z is an upper segment of x's CNF (0 and x itself included)."""
-    pz = z.pairs
-    return x.pairs[:len(pz)] == pz
-
 
 def all_parts(x):
     """All parts of x, longest first (x itself down to 0)."""
@@ -124,20 +86,8 @@ def all_parts(x):
     return [from_pairs(ps[:j]) for j in range(len(ps), -1, -1)]
 
 
-def iterated_tail_parts(mu_vec, x):
-    """mu_0 is a part of x and each mu_{i+1} a part of te(mu_i)."""
-    assert mu_vec, "iterated tail parts of an empty chain"
-    cur = x
-    for mu in mu_vec:
-        if cur is None or not is_part(mu, cur):
-            return False
-        # te is undefined on 0, so a zero link admits no further entries
-        cur = None if mu is E_ZERO else te(mu)
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Sequence orders
+# Sequence order
 # ---------------------------------------------------------------------------
 
 def seq_lt(nu_vec, x):
@@ -163,20 +113,6 @@ def _seq_lt(vec, x):
             if _seq_lt(vec[1:], te(mu)):
                 return True
     return False
-
-
-def seq_lt_k(nu_vec, xi_vec, k):
-    """Coordinatewise <= below position k, then the tail of nu against
-    the k-th entry of xi (logical indexing from 2)."""
-    if len(nu_vec) != len(xi_vec):
-        raise IndexError("vectors must have equal length")
-    j = k - 2
-    if not 0 <= j < len(nu_vec):
-        raise IndexError("position %d outside 2..%d" % (k, len(nu_vec) + 1))
-    for i in range(j):
-        if cmp_exp(nu_vec[i], xi_vec[i]) == GT:
-            return False
-    return seq_lt(nu_vec[j:], xi_vec[j])
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +156,9 @@ def vec_step_down(nu_vec, x):
     return True
 
 
-def sp_le(z, x):
-    """Some part of x equals z or admits z as a step-down."""
-    return any(z is mu or step_down(z, mu) for mu in all_parts(x))
-
-
-def sp_lt(z, x):
-    return any(step_down(z, mu) for mu in all_parts(x))
-
-
 def vec_sp(nu_vec, x):
     """The vector steps down some part of x."""
     return any(vec_step_down(nu_vec, mu) for mu in all_parts(x))
-
-
-def sp_position(nu_vec, x):
-    """Number of tail summands of x outside the longest witnessing part."""
-    ps = x.pairs
-    for j in range(len(ps), -1, -1):
-        if vec_step_down(nu_vec, from_pairs(ps[:j])):
-            return len(ps) - j
-    raise NoWitness("no part of %r admits the step-down" % (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +231,18 @@ def exp_add(x, y):
     return from_pairs(px[:j] + py)
 
 
-def drop_tail(x):
-    """x minus its tail summand; 0 stays 0."""
-    ps = x.pairs
-    return from_pairs(ps[:-1]) if ps else x
-
-
 # ---------------------------------------------------------------------------
 # Irreducibility of coefficient vectors
 # ---------------------------------------------------------------------------
 
-def _tail_violation(vec):
-    """First (i, k) whose tail Tl(vec[i]) lies below the k-fold tower
-    L^(...L^(vec[i+k]+1)...), or None.
+def irreducible(vec):
+    """Every non-zero entry's tail Tl(vec[i]) lies at or above the k-fold
+    tower L^(...L^(vec[i+k]+1)...) of each later entry.
 
     The tail lies below that tower exactly when its k-th head exponent is
     at most vec[i+k], or is undefined because the head walk reached zero
-    sooner.  Zero is at most every entry, so the walk reports at the
-    first zero it meets, and no tower is built."""
+    sooner.  Zero is at most every entry, so the walk stops at the first
+    zero it meets, and no tower is built."""
     n = len(vec)
     for i in range(n):
         if vec[i] is E_ZERO:
@@ -338,22 +250,6 @@ def _tail_violation(vec):
         h = te(vec[i])  # the head exponent of the tail
         for k in range(1, n - i):
             if cmp_exp(h, vec[i + k]) != GT:
-                return i, k
+                return False
             h = he(h)
-    return None
-
-
-def irreducible(vec):
-    """Every non-zero entry's tail dominates the towers of later entries."""
-    return _tail_violation(vec) is None
-
-
-def irreducible_reduct(vec):
-    """Drop offending tail summands until the vector is irreducible."""
-    vec = tuple(vec)
-    while True:
-        hit = _tail_violation(vec)
-        if hit is None:
-            return vec
-        i, _ = hit
-        vec = vec[:i] + (drop_tail(vec[i]),) + vec[i + 1:]
+    return True

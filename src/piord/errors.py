@@ -6,15 +6,11 @@ class PiordError(Exception):
 
 
 class MalformedChain(PiordError):
-    """A pd-chain ended before reaching the top regular term."""
+    """A collapsing series ended before reaching the top regular term."""
 
 
 class UndefinedOnZero(PiordError):
     """Head/tail data requested for the zero exponent."""
-
-
-class NoWitness(PiordError):
-    """No part of the target witnesses the requested relation."""
 
 
 class BadDelta(PiordError):
@@ -39,10 +35,6 @@ class ValidationError(PiordError):
     def __init__(self, report):
         self.report = report
         super().__init__(report.first_failure() or "validation failed")
-
-
-class ArgsNotBelowK(PiordError):
-    """Veblen arguments must lie below the top regular term."""
 
 
 class OutOfRange(PiordError):

@@ -19,7 +19,7 @@ from .terms import (
 __all__ = [
     "LT", "EQ", "GT", "cmp_ord", "cmp_exp",
     "k_delta", "k_delta_set", "k_delta_exp", "ks_below",
-    "rule_tag", "hull_member", "clear_caches", "trim_caches", "MEMO_BOUND",
+    "rule_tag", "clear_caches", "trim_caches", "MEMO_BOUND",
 ]
 
 LT, EQ, GT = -1, 0, 1
@@ -343,9 +343,3 @@ def ks_below(delta, items, beta):
             if cmp_ord(g, beta) != LT:
                 return False
     return True
-
-
-def hull_member(gamma, delta, alpha):
-    """The notation-level rendering of hull membership: K_delta(alpha) < gamma."""
-    _check_delta(delta)
-    return ks_below(delta, (alpha,), gamma)

@@ -32,9 +32,7 @@ __all__ = [
     "is_principal", "is_strongly_critical", "is_successor_term",
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
-    "m_at", "m_vec",
-    "pd", "pd_iter", "collapsing_series", "prec", "prec_eq",
-    "all_subterms",
+    "m_at", "m_vec", "collapsing_series",
     "print_ord", "print_exp", "print_seq",
 ]
 
@@ -339,27 +337,13 @@ def m_vec(t, params):
 
 
 # ---------------------------------------------------------------------------
-# Predecessors and collapsing series
+# Collapsing series
 # ---------------------------------------------------------------------------
 
-def pd(t):
-    """The collapse base of a psi term; None for anything else."""
-    return t.pi if isinstance(t, Psi) else None
-
-
-def pd_iter(t, k):
-    """pd applied k times; None once the chain leaves psi terms."""
-    for _ in range(k):
-        if not isinstance(t, Psi):
-            return None
-        t = t.pi
-    return t
-
-
 def collapsing_series(t):
-    """The chain (pi_0, ..., pi_L) with pi_L = t, pi_i = pd(pi_{i+1}) and
-    pi_0 the top regular term.  Fails when the chain leaves psi terms before
-    reaching the top."""
+    """The chain (pi_0, ..., pi_L) with pi_L = t, each pi_i the collapse
+    base of pi_{i+1} and pi_0 the top regular term.  Fails when the chain
+    leaves psi terms before reaching the top."""
     if not isinstance(t, Psi):
         raise MalformedChain("collapsing series requires a psi term: %r" % (t,))
     chain = [t]
@@ -372,50 +356,6 @@ def collapsing_series(t):
             "pd chain of %r stops at %r before the top term" % (t, cur))
     chain.reverse()
     return chain
-
-
-def prec(s, t):
-    """True when t = pd^(n)(s) for some n >= 1."""
-    cur = s
-    while isinstance(cur, Psi):
-        cur = cur.pi
-        if cur is t:
-            return True
-    return False
-
-
-def prec_eq(s, t):
-    return s is t or prec(s, t)
-
-
-def all_subterms(t):
-    """Every ordinal term occurring in t, including t itself."""
-    seen = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        if isinstance(cur, Ord):
-            seen.add(cur)
-        if isinstance(cur, Sum):
-            stack.extend(cur.parts)
-        elif isinstance(cur, Veblen):
-            stack.append(cur.b)
-            stack.append(cur.g)
-        elif isinstance(cur, (OmegaExp, OmegaIdx)):
-            stack.append(cur.b)
-        elif isinstance(cur, Psi):
-            stack.append(cur.pi)
-            stack.append(cur.a)
-            stack.extend(cur.nu)
-        elif isinstance(cur, EOrd):
-            stack.append(cur.a)
-        elif isinstance(cur, LamSum):
-            for e, c in cur.pairs:
-                stack.append(e)
-                stack.append(c)
-    return seen
 
 
 # ---------------------------------------------------------------------------

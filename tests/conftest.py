@@ -8,6 +8,9 @@ import piord
 from piord.params import SystemParams
 import piord.oracle as oracle
 from piord.oracle import enumerate_corpus
+from piord.terms import (
+    ONE, EOrd, LamSum, OmegaExp, OmegaIdx, Ord, Psi, Sum, Veblen, from_parts,
+)
 
 # pytest's `pythonpath` setting reaches this process only: put the same
 # source tree first on PYTHONPATH, so that the piord processes the tests
@@ -19,6 +22,41 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 _PIORD_DIR = os.path.dirname(piord.__file__)
+
+
+def from_int(k):
+    """The finite ordinal k: k summands phi(0,0)."""
+    return from_parts((ONE,) * k)
+
+
+def all_subterms(t):
+    """Every ordinal term occurring in t, including t itself."""
+    seen = set()
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        if isinstance(cur, Ord):
+            seen.add(cur)
+        if isinstance(cur, Sum):
+            stack.extend(cur.parts)
+        elif isinstance(cur, Veblen):
+            stack.append(cur.b)
+            stack.append(cur.g)
+        elif isinstance(cur, (OmegaExp, OmegaIdx)):
+            stack.append(cur.b)
+        elif isinstance(cur, Psi):
+            stack.append(cur.pi)
+            stack.append(cur.a)
+            stack.extend(cur.nu)
+        elif isinstance(cur, EOrd):
+            stack.append(cur.a)
+        elif isinstance(cur, LamSum):
+            for e, c in cur.pairs:
+                stack.append(e)
+                stack.append(c)
+    return seen
 
 
 def count_line_events(fn, *args):

@@ -1,16 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piord.errors import ArgsNotBelowK, OutOfRange, ValidationError
+from piord.errors import OutOfRange, ValidationError
 from piord.params import SystemParams
-from piord.terms import BIG_K, ONE, ZERO, OmegaExp, Psi
+from piord.terms import BIG_K, ONE, ZERO, OmegaExp, from_parts
 from piord.order import EQ, GT, LT, cmp_ord
 from piord.validate import check_ot
 from piord.arith import (
-    add, from_int, natural_sum, omega_exp, omega_idx, omega_tower,
-    psi0, psi_step, theorem_bound, veblen,
+    add, omega_exp, omega_idx, omega_tower, psi0, psi_step, theorem_bound,
 )
 from piord.syntax import parse_ord
+
+from conftest import from_int
 
 P4 = SystemParams(4)
 
@@ -27,33 +28,13 @@ def test_add_identity_and_absorption():
     assert add(BIG_K, ONE) is t("K+1")
 
 
-def test_from_int_rejects_a_negative_count():
-    with pytest.raises(ValueError):
-        from_int(-1)
-
-
-def test_natural_sum_keeps_everything():
-    assert natural_sum(BIG_K, ONE) is t("K+1")
-    assert natural_sum(ONE, BIG_K) is t("K+1")   # commutative
-    assert natural_sum(t("K+1"), t("K+1")) is t("K+K+2")
-
-
 def test_omega_exp():
     assert omega_exp(ZERO) is ONE
     assert omega_exp(BIG_K) is BIG_K
     assert isinstance(omega_exp(t("K+1")), OmegaExp)
     assert omega_exp(ONE) is t("phi(0,1)")
     assert omega_exp(t("Om(1)")) is t("Om(1)")
-
-
-def test_veblen_builder():
-    assert veblen(ZERO, ZERO) is ONE
-    assert veblen(ZERO, t("Om(1)")) is t("Om(1)")
-    assert veblen(ONE, ZERO) is t("phi(1,0)")
-    assert veblen(t("Om(1)"), ZERO) is t("Om(1)")       # critical point
-    assert veblen(ZERO, t("phi(1,0)")) is t("phi(1,0)")
-    with pytest.raises(ArgsNotBelowK):
-        veblen(BIG_K, ZERO)
+    assert omega_exp(t("phi(1,0)")) is t("phi(1,0)")    # an epsilon number
 
 
 def test_omega_idx_builder():
@@ -103,22 +84,12 @@ def test_add_associative(data, corpus4):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_natural_sum_laws(data, corpus4):
-    s = _small(corpus4)
-    a, b, c = data.draw(s), data.draw(s), data.draw(s)
-    assert natural_sum(a, b) is natural_sum(b, a)
-    assert natural_sum(natural_sum(a, b), c) is natural_sum(a, natural_sum(b, c))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
 def test_add_lower_bound_and_validity(data, corpus4):
     s = _small(corpus4)
     a, b = data.draw(s), data.draw(s)
     out = add(a, b)
     assert cmp_ord(b, out) <= EQ
     assert check_ot(out, P4).ok
-    assert check_ot(natural_sum(a, b), P4).ok
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,7 +108,7 @@ def test_add_agrees_with_natural_sum_when_sorted(data, corpus4):
     s = _small(corpus4)
     a, b = data.draw(s), data.draw(s)
     if all(cmp_ord(p, q) != LT for p in a.parts for q in b.parts):
-        assert add(a, b) is natural_sum(a, b)
+        assert add(a, b) is from_parts(a.parts + b.parts)
 
 
 def test_omega_exp_fixed_points(corpus4):

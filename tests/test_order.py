@@ -6,14 +6,14 @@ from piord.params import SystemParams
 from piord.terms import (
     BIG_K, E_ONE, E_ZERO, ONE, ZERO, EOrd, LamSum, Psi, mk_eord, mk_psi,
 )
-from piord.order import EQ, GT, LT, cmp_exp, cmp_ord, hull_member, k_delta
-from piord.arith import (
-    add, from_int, omega_exp, omega_idx, psi0, psiK, theorem_bound, veblen,
-)
+from piord.order import EQ, GT, LT, cmp_exp, cmp_ord, k_delta, ks_below
+from piord.arith import add, omega_idx, psi0, psiK, theorem_bound
 from piord.oracle import (
     _exp_pool, _kset_below, enumerate_corpus, witness_terms,
 )
 from piord.syntax import parse_ord
+
+from conftest import from_int
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
@@ -158,12 +158,11 @@ def test_k_delta_examples():
 
 
 def test_hull_member_examples():
+    # hull membership K_delta(alpha) < gamma, decided by ks_below
     pk = psi0(BIG_K, BIG_K, P4)
-    assert hull_member(ONE, BIG_K, pk)
-    assert not hull_member(BIG_K, ZERO, pk)
-    assert hull_member(add(BIG_K, ONE), ZERO, pk)
-    with pytest.raises(BadDelta):
-        hull_member(BIG_K, ONE, pk)
+    assert ks_below(BIG_K, (pk,), ONE)
+    assert not ks_below(ZERO, (pk,), BIG_K)
+    assert ks_below(ZERO, (pk,), add(BIG_K, ONE))
 
 
 @pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
@@ -176,7 +175,7 @@ def test_hull_member_matches_the_set_based_test(params):
             ks = k_delta(d, a)
             for g in terms:
                 below = _kset_below(ks, g)
-                assert hull_member(g, d, a) == below, (g, d, a)
+                assert ks_below(d, (a,), g) == below, (g, d, a)
                 outcomes[below] += 1
     # both answers occur often, so neither side of the walk goes unchecked
     assert outcomes == {True: 41276, False: 11740}

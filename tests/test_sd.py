@@ -2,9 +2,10 @@ import pytest
 
 from piord.terms import BIG_K, E_ZERO, ONE, ZERO, mk_eord, mk_lamsum
 from piord.sd import Base, Extend, in_sd, replay, sd_necessary_conditions
-from piord.arith import from_int
 from piord.oracle import _exp_pool, _sparse_vectors, enumerate_corpus
 from piord.params import SystemParams
+
+from conftest import from_int
 
 E1 = mk_eord(ONE)
 E2 = mk_eord(from_int(2))

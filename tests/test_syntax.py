@@ -11,7 +11,9 @@ from piord.terms import (
 from piord.syntax import (
     _parse, parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
 )
-from piord.arith import from_int, psi0
+from piord.arith import psi0
+
+from conftest import from_int
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)

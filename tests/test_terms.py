@@ -4,21 +4,23 @@ from piord.errors import MalformedChain
 from piord.terms import (
     BIG_K, E_ONE, E_ZERO, ONE, ZERO,
     EOrd, OmegaExp, OmegaIdx, Psi,
-    all_subterms, collapsing_series, from_parts, is_principal, is_regular,
+    collapsing_series, from_parts, is_principal, is_regular,
     is_successor_term, is_zero_vec, m_at, m_vec,
     mk_eord, mk_lamsum, mk_psi, mk_sum, mk_veblen, mk_omega_exp, mk_omega_idx,
-    pd, pd_iter, prec, prec_eq, strip_zeros, tower_down, tower_up, zero_vec,
+    strip_zeros, tower_down, tower_up, zero_vec,
 )
 from piord.order import (
     PSI9, PSI10, PSI11, PSI12, clear_caches, cmp_ord, k_delta, rule_tag,
 )
 from piord import arith
 from piord.params import SystemParams
-from piord.arith import add, from_int, psiK, psi_step, psi0, theorem_bound
+from piord.arith import add, psiK, psi_step, psi0, theorem_bound
 from piord.cnf import from_pairs
 from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, print_exp, print_ord
 from piord.validate import check_ot
+
+from conftest import all_subterms, from_int
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
@@ -95,30 +97,16 @@ def test_sum_size_counts_separators():
 
 def test_pd_and_series():
     t = psi0(BIG_K, ZERO, P4)
-    assert pd(t) is BIG_K
-    assert pd(BIG_K) is None
     assert collapsing_series(t) == [BIG_K, t]
 
     pi1 = psiK(ONE, ONE, P4)
     t11 = psi_step(pi1, from_int(2), from_int(2), P4)
-    assert pd(t11) is pi1
-    chain = collapsing_series(t11)
-    assert len(chain) - 1 == 2 and chain[0] is BIG_K
+    assert collapsing_series(t11) == [BIG_K, pi1, t11]
 
 
 def test_series_rejects_non_psi():
     with pytest.raises(MalformedChain):
         collapsing_series(mk_omega_idx(ONE))
-
-
-def test_prec():
-    pi1 = psiK(ONE, ONE, P4)
-    t11 = psi_step(pi1, from_int(2), from_int(2), P4)
-    assert prec(t11, BIG_K)
-    assert prec(t11, pi1)
-    assert not prec(BIG_K, t11)
-    assert prec_eq(t11, t11)
-    assert pd_iter(t11, 2) is BIG_K
 
 
 def test_components():
@@ -235,29 +223,10 @@ def test_strip_zeros():
 
 
 def test_size_decreases_to_subterms(corpus4):
-    from piord.terms import all_subterms
     for t in corpus4.terms[:300]:
         for sub in all_subterms(t):
             if sub is not t:
                 assert sub.size < t.size
-
-
-def test_prec_strict_partial_order(corpus4):
-    psis = [t for t in corpus4.terms if pd(t) is not None]
-    for t in psis:
-        assert not prec(t, t)
-    # chains are linear, so transitivity follows from chain membership
-    for t in psis[:100]:
-        chain = []
-        cur = t
-        while pd(cur) is not None:
-            cur = pd(cur)
-            chain.append(cur)
-        for i, u in enumerate(chain):
-            for v in chain[i + 1:]:
-                assert prec(t, u) and prec(t, v)
-                if pd(u) is not None:
-                    assert prec(u, v)
 
 
 def test_series_reaches_top_on_mahlo_chains(corpus4):

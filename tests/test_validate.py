@@ -11,9 +11,11 @@ from piord.order import clear_caches, rule_tag
 from piord.validate import (
     ValidationReport, check_ot, check_exp, rule_vs_series,
 )
-from piord.arith import add, from_int, psi0, psiK, psi_sd, psi_step
+from piord.arith import add, psi0, psiK, psi_sd, psi_step
 from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, parse_seq
+
+from conftest import from_int
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
