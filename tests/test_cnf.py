@@ -45,9 +45,15 @@ def test_he_iter():
     assert he_iter(x, 2) is E1
     assert he_iter(x, 3) is E_ZERO
     assert he_iter(x, 4) is None
-    # L^(L^(2))*(1) + L^(L^(1))*(1): the head walk ignores the tail
-    y = mk_lamsum(((lam(E2, ONE), ONE), (lam(E1, ONE), ONE)))
-    assert he_iter(y, 2) is E2
+
+
+def test_te_iter():
+    # L^(L^(2))*(1) + L^(L^(1))*(1): the tail walk leaves the head's chain
+    x = mk_lamsum(((lam(E2, ONE), ONE), (lam(E1, ONE), ONE)))
+    assert te(te(x)) is E1 and he_iter(x, 2) is E2
+    assert te(te(te(x))) is E_ZERO
+    with pytest.raises(UndefinedOnZero):
+        te(E_ZERO)
 
 
 def test_is_part():
