@@ -53,6 +53,7 @@ class OrdSyntaxError(PiordError):
     """Parse failure, with the offending position."""
 
     def __init__(self, message, pos):
+        self.message = message
         self.pos = pos
         super().__init__("%s (at position %d)" % (message, pos))
 

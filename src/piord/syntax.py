@@ -33,19 +33,29 @@ _MAX_DIGITS = len(str(MAX_NUMERAL))
 
 
 # One pattern splits an operand into tokens, each after the blanks in front
-# of it: the one-character literals (first, as the most frequent), the
-# multi-character literals, a digit run, any other single character, and an
-# empty token at the end.  A run of "w^(" is one token, and so is a run of
-# ")", except that it leaves its last ")" to a ")*(" that follows; ")*(" is
-# one token.  Where the parser needs one ")" of a token, it leaves the rest
-# of the token in its place, so a "*(" may remain of a ")*(".
-_TOKEN = re.compile(r"\s*([K;+,\[\]]|psi\(|phi\(|w\^\((?:w\^\()*|Om\(|L\^\("
+# of it: a flat principal term, the one-character literals (the most
+# frequent), the multi-character literals, a digit run, any other single
+# character, and an empty token at the end.  A flat principal term is a
+# "psi(", "phi(" or "Om(" term whose spelling holds no inner parenthesis,
+# such as "psi(K; [0,K]; K)": it is one token, parsed once per process.  A
+# run of "w^(" is one token, and so is a run of ")", except that it leaves
+# its last ")" to a ")*(" that follows; ")*(" is one token.  Where the
+# parser needs one ")" of a token, it leaves the rest of the token in its
+# place, so a "*(" may remain of a ")*(".
+_TOKEN = re.compile(r"\s*((?:psi|phi|Om)\([^()]*\)|[K;+,\[\]]"
+                    r"|psi\(|phi\(|w\^\((?:w\^\()*|Om\(|L\^\("
                     r"|\)(?:\*\(|\)*(?!\*\())|\d+|.|\Z)")
 
 
 class _Parser:
+    # where the scan of the text starts: a flat term's parser scans what
+    # follows its head, so its token list begins with one token, the head,
+    # that the scan does not find
+    start = 0
+
     def __init__(self, text, params):
         self.text = text
+        self.params = params
         self.n = params.n
         self.toks = _TOKEN.findall(text)
         self.i = 0
@@ -53,13 +63,24 @@ class _Parser:
         # claims a coefficient-carrying rule, which `check` must refute
         self.zero_claims = []
 
-    def error(self, message, i=None, cls=OrdSyntaxError):
-        """Raise at token i, the current one by default.  Positions are
-        found only here, by scanning the text again; a token that is partly
-        consumed is reported where its rest starts."""
+    def error(self, message, i=None, cls=OrdSyntaxError, shift=0):
+        """Raise at token i, the current one by default, shift characters
+        on.  Positions are found only here, by scanning the text again and
+        counting tokens from the end, which the scan and the list share; a
+        token that is partly consumed is reported where its rest starts."""
         i = self.i if i is None else i
-        end = [m.end(1) for m in _TOKEN.finditer(self.text)][i]
-        raise cls(message, end - len(self.toks[i]))
+        ends = [m.end(1) for m in _TOKEN.finditer(self.text, self.start)]
+        raise cls(message, ends[i - len(self.toks)] - len(self.toks[i])
+                  + shift)
+
+    def flat(self):
+        """A flat principal term, the whole text and its one token: split
+        it into its head and the tokens of the rest, and parse those as
+        prin parses any principal term."""
+        text = self.text
+        self.start = text.index("(") + 1
+        self.toks = [text[:self.start]] + _TOKEN.findall(text, self.start)
+        return self.prin()
 
     def expect(self, lit):
         tok = self.toks[self.i]
@@ -86,12 +107,23 @@ class _Parser:
         return mk_sum(tuple(q for p in parts for q in p.parts))
 
     def prin(self):
-        # psi, the most common principal term, is tried first; a term that
-        # closes with ")" parses its operand and then expects the ")", so
-        # each nesting level costs two frames, ord and prin, except in a
-        # tower of "w^(" levels, which is parsed in one frame
+        # a flat term, then psi, the most common principal terms, are tried
+        # first; a term that closes with ")" parses its operand and then
+        # expects the ")", so each nesting level costs two frames, ord and
+        # prin, except in a tower of "w^(" levels, which is parsed in one
+        # frame, and at a flat term, which is looked up
         tok = self.toks[self.i]
         self.i += 1
+        if tok[-1:] == ")" and tok[0] != ")":
+            # the only token that ends, but does not start, with ")": a
+            # flat term, parsed once per process.  An error inside it is
+            # raised again where it lies in this text
+            try:
+                t, claims = _parse(_Parser.flat, tok, self.params)
+            except OrdSyntaxError as exc:
+                self.error(exc.message, self.i - 1, type(exc), exc.pos)
+            self.zero_claims += claims
+            return t
         if tok == "psi(":
             pi = self.ord()
             self.expect(";")
@@ -203,8 +235,9 @@ def _parse(rule, text, params):
     """Run one grammar rule over all of text; also return the claims.
 
     A memo table, so a spelling seen before costs one lookup: the result
-    is made of interned terms, which outlive the table.  A failed parse
-    raises and stores nothing."""
+    is made of interned terms, which outlive the table.  The operands of
+    the public parsers and every flat principal term they hold (the rule
+    _Parser.flat) share it.  A failed parse raises and stores nothing."""
     p = _Parser(text, params)
     result = rule(p)
     if p.toks[p.i]:

@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import sys
 
 import pytest
@@ -22,6 +23,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 _PIORD_DIR = os.path.dirname(piord.__file__)
+
+
+# a flat principal term: a psi, phi or Om term whose spelling holds no
+# inner parenthesis, which the tokenizer reads as one token
+FLAT = re.compile(r"(?:psi|phi|Om)\([^()]*\)")
 
 
 def from_int(k):

@@ -15,6 +15,7 @@ from piord.cli import main
 from piord.order import (
     _MEMOS, _cmp_ord, _k_delta, clear_caches, k_delta, trim_caches,
 )
+from piord.errors import OrdSyntaxError
 from piord.params import SystemParams
 from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO, Psi, is_zero_vec, mk_omega_exp, mk_omega_idx,
@@ -23,9 +24,12 @@ from piord.oracle import (
     check_order_axioms, check_structural_props, enumerate_corpus,
 )
 from piord.syntax import (
-    _parse, parse_ord, parse_ord_claims, parse_seq, print_ord, print_seq,
+    _Parser, _parse, parse_ord, parse_ord_claims, parse_seq, print_ord,
+    print_seq,
 )
 from piord.validate import check_ot
+
+from conftest import FLAT
 
 
 def _reports(corpus):
@@ -112,7 +116,9 @@ def test_parse_table_gives_the_objects_of_a_fresh_parse(monkeypatch, n):
     clear_caches()
     cold = objects()
     entries = _parse.cache_info().currsize
-    assert entries == len(set(ords)) + len(set(seqs))
+    # one entry per spelling, and one per flat principal term in them
+    flat = {f for text in ords + seqs for f in FLAT.findall(text)}
+    assert entries == len(set(ords)) + len(set(seqs)) + len(flat)
     hits = _parse.cache_info().hits
     warm = objects()
     assert _parse.cache_info().hits == hits + 2 * len(ords) + len(seqs)
@@ -131,6 +137,67 @@ def test_parse_table_gives_the_objects_of_a_fresh_parse(monkeypatch, n):
     assert [len(ids) for ids in cold[1][-2:]] == [2, 3]
     assert all(len(ids) == 1 for ids in cold[1][:-2])
     assert cold == warm == cleared == trimmed
+
+
+def _prin_calls(monkeypatch, text, params):
+    """The number of _Parser.prin calls that parsing text makes."""
+    calls = []
+    prin = _Parser.prin
+
+    def counted(self):
+        calls.append(1)
+        return prin(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Parser, "prin", counted)
+        parse_ord(text, params)
+    return len(calls)
+
+
+def test_flat_terms_are_parsed_once(monkeypatch, p4):
+    # the outer term's six principal tokens, and the eight principal
+    # terms of its two flat ones when these are not in the table
+    text = "psi(psi(K; [0,K]; K); [0,K]; K+psi(K; K))"
+    clear_caches()
+    try:
+        assert _prin_calls(monkeypatch, text, p4) == 6 + 5 + 3
+        assert _parse.cache_info().currsize == 3
+        clear_caches()
+        for f in FLAT.findall(text):
+            parse_ord(f, p4)
+        assert _parse.cache_info().currsize == 4
+        hits = _parse.cache_info().hits
+        assert _prin_calls(monkeypatch, text, p4) == 6
+        assert _parse.cache_info().hits == hits + 2
+        assert _prin_calls(monkeypatch, text, p4) == 0
+    finally:
+        clear_caches()
+
+
+def test_flat_entries_follow_the_memo_contract(monkeypatch, p4):
+    flats = ["psi(K; %d)" % k for k in range(1, 41)]
+    clear_caches()
+    try:
+        parse_ord("+".join(reversed(flats)), p4)
+        assert _parse.cache_info().currsize == 1 + 40
+        clear_caches()
+        assert _parse.cache_info().currsize == 0
+        # a checkpoint empties the table once it holds more than the bound
+        monkeypatch.setattr(order, "MEMO_BOUND", 32)
+        parse_ord("+".join(reversed(flats[:31])), p4)
+        trim_caches()
+        assert _parse.cache_info().currsize == 32
+        parse_ord("+".join(reversed(flats)), p4)
+        trim_caches()
+        assert _parse.cache_info().currsize == 0
+        # a failed flat parse stores nothing, nor does the parse around it
+        for text in ("Om(1 x)", "Om(Om(1 x))", "psi(K; Om(1 x))",
+                     "psi(K; [0]; K)", "Om(1001)"):
+            with pytest.raises(OrdSyntaxError):
+                parse_ord(text, p4)
+            assert _parse.cache_info().currsize == 0
+    finally:
+        clear_caches()
 
 
 def test_k_delta_stores_no_entry_per_tower_level(p4):

@@ -1,9 +1,14 @@
+import io
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piord.errors import ArityError, OrdSyntaxError
+import piord.syntax as syntax
+from piord.cli import main
+from piord.errors import ArityError, OrdSyntaxError, PiordError
+from piord.order import clear_caches
 from piord.params import SystemParams
 from piord.terms import (
     BIG_K, E_ZERO, ONE, ZERO, Psi, from_parts, mk_eord, mk_omega_exp,
@@ -13,7 +18,7 @@ from piord.syntax import (
 )
 from piord.arith import psi0
 
-from conftest import from_int
+from conftest import FLAT, from_int
 
 P3 = SystemParams(3)
 P4 = SystemParams(4)
@@ -218,21 +223,154 @@ ERROR_TABLE = [
      "unexpected trailing input", 13),
     (parse_ord, 4, "w^(w^(K+1)))*(1)", OrdSyntaxError,
      "unexpected trailing input", 11),
+    # the first error lies inside a flat principal term, one token with no
+    # inner parenthesis: reported where it lies, with its own message
+    (parse_ord, 4, "psi(K; 1001)", OrdSyntaxError, "numeral above 1000", 7),
+    (parse_ord, 4, "psi(K; [0]; K)", ArityError,
+     "coefficient vector has 1 entries, need 2 for N=4", 7),
+    (parse_ord, 4, "Om(1 x)", OrdSyntaxError, "expected ')'", 5),
+    (parse_ord, 4, "psi(K K)", OrdSyntaxError, "expected ';'", 6),
+    (parse_ord, 4, "phi(0,1+0)", OrdSyntaxError,
+     "zero cannot appear inside a sum", 9),
+    (parse_ord, 4, "phi(0, Om( ))", OrdSyntaxError, "expected a term", 11),
+    (parse_seq, 4, "[0, psi(K;  [0,0] ; 1 x)]", OrdSyntaxError,
+     "expected ')'", 22),
+    # a flat term inside a run of ")": the term takes the run's first ")"
+    (parse_ord, 4, "Om(phi(0,1)))", OrdSyntaxError,
+     "unexpected trailing input", 12),
+    (parse_ord, 4, "Om(1)*(2)", OrdSyntaxError,
+     "unexpected trailing input", 5),
 ]
 
 
 @pytest.mark.parametrize("parse, n, text, cls, message, pos", ERROR_TABLE)
 def test_error_reports(parse, n, text, cls, message, pos):
-    # twice: a failed parse stores nothing in the parse table, so the
-    # second raises the same report
-    entries = _parse.cache_info().currsize
-    for _ in range(2):
+    # three times: a failed parse stores nothing in the parse table, so the
+    # later ones raise the same report and add no entry.  The first may
+    # store the flat principal terms of the text that parsed, one entry
+    # each (phi(0,K) of "phi(0,K)*(1)")
+    clear_caches()
+    for attempt in range(3):
         with pytest.raises(OrdSyntaxError) as exc:
             parse(text, SystemParams(n))
         assert type(exc.value) is cls
         assert str(exc.value) == "%s (at position %d)" % (message, pos)
         assert exc.value.pos == pos
-    assert _parse.cache_info().currsize == entries
+        if not attempt:
+            entries = _parse.cache_info().currsize
+        assert _parse.cache_info().currsize == entries
+    assert entries <= len(FLAT.findall(text))
+    clear_caches()
+
+
+# check's line on spellings with explicit zero vectors, some of them in
+# flat terms: the first claim, in the order the terms close, names the
+# refuted rule
+CLAIM_ROWS = [
+    ("psi(K; [0,K]; K)+psi(K; [0,0]; 1)",
+     "fail psi(K; [0,K]; K)+psi(K; 1): 0 < b: all-zero vector"),
+    ("psi(K; [0,0]; 1)+psi(Om(1); [0,0]; 1)",
+     "fail psi(K; 1)+psi(Om(1); 1): 0 < b: all-zero vector"),
+    ("psi(K; [0,0]; psi(Om(1); [0,0]; 1))+psi(K; [0,0]; 1)",
+     "fail psi(K; psi(Om(1); 1))+psi(K; 1): non-zero vector: all-zero vector"),
+]
+
+
+@pytest.mark.parametrize("text, line", CLAIM_ROWS)
+def test_zero_claims_keep_their_order(text, line):
+    for _ in range(2):                  # cold, then from the parse table
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["check", text], out, err) == 1
+        assert (out.getvalue(), err.getvalue()) == (line + "\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    "psi(K; [0,0]; K)+psi(K; [0,0]; 1)",
+    "psi(K; [0,0]; 1)+psi(Om(1); [0,0]; 1)",
+])
+def test_claims_of_summands_come_in_order(text):
+    t, claims = parse_ord_claims(text, P4)
+    assert claims == t.parts
+
+
+def test_claims_come_as_their_terms_close():
+    t, claims = parse_ord_claims(CLAIM_ROWS[2][0], P4)
+    outer = t.parts[0]
+    assert claims == (outer.a, outer, t.parts[1])
+
+
+# The differential reference: the tokenizer without its flat principal
+# terms (FLAT), so every "psi(", "phi(" and "Om(" is a token of its own
+# and each spelling is parsed token by token.
+TOKEN_BY_TOKEN = re.compile(r"\s*([K;+,\[\]]|psi\(|phi\(|w\^\((?:w\^\()*|Om\("
+                            r"|L\^\(|\)(?:\*\(|\)*(?!\*\())|\d+|.|\Z)")
+# what a mutation inserts, or puts in place of a character
+MUTATION_CHARS = "K;+,[]()0123456789 psihOmwL^*x-"
+
+
+def _mutation(rng, text):
+    """text with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3) if chars else 0
+        if edit == 0:
+            chars.insert(i, rng.choice(MUTATION_CHARS))
+        elif edit == 1:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(MUTATION_CHARS)
+    return "".join(chars)
+
+
+def _ids(parse, text, params):
+    """The ids of the objects a parse returns, claims included, or the
+    class, message and position of what it raised."""
+    try:
+        got = parse(text, params)
+    except PiordError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    if parse is parse_ord_claims:
+        got = (got[0],) + got[1]
+    return tuple(map(id, got))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_flat_tokens_parse_as_token_by_token(monkeypatch, n, corpus3,
+                                             corpus4):
+    # every cap-9 census spelling, terms and vectors, and 5000 seeded
+    # mutations of them, through both parse entry points and `check`:
+    # with flat tokens, and token by token from empty tables, the same
+    # objects, claims, errors and output lines
+    params = SystemParams(n)
+    corpus = corpus3 if n == 3 else corpus4
+    texts = [print_ord(t) for t in corpus.terms] + [
+        print_seq(v) for v in corpus.seqs]
+    rng = random.Random(n)
+    texts += [_mutation(rng, rng.choice(texts)) for _ in range(5000)]
+
+    def outcomes():
+        found = []
+        for text in texts:
+            found.append(_ids(parse_ord_claims, text, params))
+            found.append(_ids(parse_seq, text, params))
+            out, err = io.StringIO(), io.StringIO()
+            code = main(["--big-n", str(n), "check", text], out, err)
+            found.append((code, out.getvalue(), err.getvalue()))
+        return found
+
+    try:
+        clear_caches()
+        shipped = outcomes()
+        clear_caches()
+        monkeypatch.setattr(syntax, "_TOKEN", TOKEN_BY_TOKEN)
+        reference = outcomes()
+    finally:
+        clear_caches()
+    # most spellings hold a flat term, and most outcomes are errors
+    assert sum(bool(FLAT.search(text)) for text in texts) > len(texts) // 2
+    assert sum(isinstance(o[0], type) for o in shipped) > 5000
+    assert shipped == reference
 
 
 # what a mutation puts between two tokens, or in place of one ("" deletes)
