@@ -371,9 +371,11 @@ def _help(name, command):
 
 
 def console_main():
-    # piord's heap is interned terms and memo entries, which form no
-    # cycles, so in a process piord owns the cyclic collector only scans
-    # them; library callers of main keep their own collector
+    # piord's heap is interned terms and memo entries.  Terms hold cycles
+    # (a principal node's parts is (t,), and each tower level is in its
+    # tower's levels list), but the intern caches reach every node, so
+    # none is garbage and in a process piord owns the cyclic collector
+    # only scans them; library callers of main keep their own collector
     gc.disable()
     try:
         code = main()
@@ -387,7 +389,7 @@ def console_main():
     # off, over every tracked object: about 12 400 after `cmp`, mostly
     # the heap that `site` builds, and about 5 ms of a 46 ms `cmp`
     # process.  They skip frozen objects, and skipping loses nothing:
-    # piord leaves no cycles (test_piord_leaves_no_garbage_cycles),
+    # piord leaves no garbage (test_piord_leaves_no_garbage_cycles),
     # Python does not promise __del__ for objects alive at exit, stdout
     # is flushed above and an --out file is closed by its `with`.  atexit
     # hooks, the stream flushes and module teardown still run as usual.

@@ -98,10 +98,18 @@ class _Parser:
             t = self.prin()
         if self.toks[self.i] != "+":
             return t
+        # the ones of a sum are bounded as a numeral is, so that no sum
+        # spells a numeral the parser refuses; they are counted as each
+        # summand joins, before the sum is built.  A summand that holds a
+        # one is a numeral or phi(0,0), one token, where the report points
         parts = [t]
+        ones = t.parts.count(ONE)
         while self.toks[self.i] == "+":
             self.i += 1
             parts.append(self.prin())
+            ones += parts[-1].parts.count(ONE)
+            if ones > MAX_NUMERAL:
+                self.error("numeral above %d" % MAX_NUMERAL, self.i - 1)
         if ZERO in parts:
             self.error("zero cannot appear inside a sum")
         return mk_sum(tuple(q for p in parts for q in p.parts))

@@ -212,11 +212,11 @@ def _check_psi9(t, params):
 
 
 def _check_psi10(t, params):
+    # K(b,a) < a holds for every valid b and a (README, decisions ledger)
     b = t.nu[-1].a
     if cmp_ord(b, t.a) == GT:
         return _fail(PSI10, "0 < b <= a", "b=%r a=%r" % (b, t.a))
-    return (_k_fail(PSI10, "K(b,a) < a", t, (b, t.a))
-            or ValidationReport(PSI10))
+    return ValidationReport(PSI10)
 
 
 def _check_psi11(t, params):

@@ -142,6 +142,18 @@ def corpus4(p4):
     return enumerate_corpus(p4, 9)
 
 
+@pytest.fixture(scope="session")
+def census_towers():
+    """The w^ nodes in the N=3 and N=4 cap-11 censuses, by N."""
+    towers = {}
+    for n in (3, 4):
+        found = set()
+        for t in enumerate_corpus(SystemParams(n), 11).terms:
+            found |= {x for x in all_subterms(t) if type(x) is OmegaExp}
+        towers[n] = sorted(found, key=repr)
+    return towers
+
+
 @pytest.fixture
 def census_exponents(monkeypatch):
     """Run enumerate_corpus(params, cap) and return the census with the

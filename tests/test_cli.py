@@ -300,6 +300,7 @@ def test_help_of_every_command():
 def test_numbers_past_their_limit_are_usage_errors():
     for argv in (["check", "99999999999999999999"],
                  ["check", str(MAX_NUMERAL + 1)],
+                 ["check", "%d+%d" % (MAX_NUMERAL, MAX_NUMERAL)],
                  ["--big-n", "99999999999999999999", "bound", "--n", "1"]):
         code, out, err = run(argv)
         assert code == 2 and out == "", argv
@@ -657,6 +658,13 @@ def test_text_commands_import_no_dataclasses_inspect_or_json():
 def _fresh_cli(argv):
     return subprocess.run([sys.executable, "-m", "piord.cli"] + argv,
                           capture_output=True, text=True)
+
+
+def test_a_sum_past_the_numeral_limit_is_refused_before_it_is_built():
+    # 4000 summands 1000 (20 KB) would spell a sum of four million ones
+    proc = _fresh_cli(["check", "+".join(["1000"] * 4000)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: numeral above 1000 (at position 5)\n"
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path):

@@ -5,7 +5,8 @@ and each call site must be bound to one of the layer functions, so that a
 rename fails here rather than only in a traced benchmark run.  Every name a
 piord module exports in `__all__` must exist as well, and every name it
 imports must be used.  Every module-level function is entered by some
-command, and every error class is named by code.
+command, and every error class is named by code.  The tests' reference
+order imports nothing from piord but piord.terms.
 """
 
 import ast
@@ -207,3 +208,16 @@ def test_every_function_is_entered_by_a_command():
     # exit 2 is a usage error or an error line: that argv covered less
     assert 2 not in result["codes"], list(zip(_ARGVS, result["codes"]))
     assert result["unreached"] == sorted(UNREACHED)
+
+
+def test_reference_imports_only_terms_and_the_standard_library():
+    # tests/reference.py decides the order on its own: it may share no
+    # code with piord's order, cnf, oracle or validate
+    path = Path(__file__).resolve().parent / "reference.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert {m for m in modules if m.partition(".")[0]
+            not in sys.stdlib_module_names} == {"piord.terms"}

@@ -33,6 +33,8 @@ from piord.sd import Base, Extend, in_sd
 from piord.syntax import print_ord, print_seq
 from piord.cli import main as cli_main
 
+import reference
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 P3 = SystemParams(3)
@@ -221,15 +223,22 @@ def test_census_is_every_valid_term(params, digest):
     assert hashlib.sha256(verdicts.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, shaped", [(3, 197), (4, 201)])
+def test_psi10_k_sets_are_empty(n, shaped):
+    # every raw psi(K; [0,..,0,b]; a) with 0 < b <= a, valid b and a or
+    # not: the reference finds K_t(b) and K_t(a) empty, so Psi10 needs no
+    # K(b,a) < a check (README, decisions ledger)
+    terms = [t for t in _raw_terms(n, 7) if rule_tag(t) == "Psi10"
+             and reference.cmp(t.nu[-1].a, t.a) != GT]
+    assert len(terms) == shaped
+    assert [t for t in terms if reference.kset(t, t.nu[-1].a)
+            or reference.kset(t, t.a)] == []
+    reference.clear()
+
+
 def test_census_terms_all_validate(corpus4):
     for t in corpus4.terms:
         assert check_ot(t, corpus4.params).ok
-
-
-def test_census_sorted_strictly(corpus4):
-    terms = corpus4.terms
-    for a, b in zip(terms, terms[1:]):
-        assert cmp_ord(a, b) == LT
 
 
 def test_budget_guard(monkeypatch):
@@ -256,20 +265,6 @@ def test_structural_props_small(corpus3, corpus4):
     for c in (corpus3, corpus4):
         for rep in check_structural_props(c):
             assert rep.ok, rep.line()
-
-
-def test_six_cases_agree_on_every_psi_pair_at_cap_9(corpus3, corpus4):
-    # the suite "psi comparison cases" checks the 80 smallest psi terms
-    # only; here every ordered pair of the cap-9 census plus the witnesses
-    # (the first witness, psi(K; [..,K]; K), is a census term too)
-    for c, pairs in ((corpus3, 27_722), (corpus4, 28_392)):
-        psis = [t for t in dict.fromkeys(c.terms + tuple(
-            witness_terms(c.params))) if isinstance(t, Psi)]
-        assert len(psis) * (len(psis) - 1) == pairs
-        bad = [(print_ord(s), print_ord(t)) for s in psis for t in psis
-               if s is not t
-               and oracle._six_cases_lt(s, t) != (cmp_ord(s, t) == LT)]
-        assert bad == []
 
 
 @pytest.mark.parametrize("name, binding, fault", FAULTS,

@@ -167,6 +167,12 @@ ERROR_TABLE = [
     (parse_ord, 4, "1001", OrdSyntaxError, "numeral above 1000", 0),
     (parse_ord, 4, "00001001", OrdSyntaxError, "numeral above 1000", 0),
     (parse_ord, 4, "123456789012", OrdSyntaxError, "numeral above 1000", 0),
+    # the ones of a sum are a numeral: reported at the summand that takes
+    # them past the limit
+    (parse_ord, 4, "1000+1000", OrdSyntaxError, "numeral above 1000", 5),
+    (parse_ord, 4, "K+999+1+1", OrdSyntaxError, "numeral above 1000", 8),
+    (parse_ord, 4, "w^(1000+1)", OrdSyntaxError, "numeral above 1000", 8),
+    (parse_ord, 4, "1000+phi(0,0)", OrdSyntaxError, "numeral above 1000", 5),
     # blanks before a vector's "[" and after the "+" in front of a
     # base-power: the report points at the token, not at the blanks
     (parse_seq, 4, "  [0]", ArityError,
@@ -226,6 +232,7 @@ ERROR_TABLE = [
     # the first error lies inside a flat principal term, one token with no
     # inner parenthesis: reported where it lies, with its own message
     (parse_ord, 4, "psi(K; 1001)", OrdSyntaxError, "numeral above 1000", 7),
+    (parse_ord, 4, "psi(K; 1000+1)", OrdSyntaxError, "numeral above 1000", 12),
     (parse_ord, 4, "psi(K; [0]; K)", ArityError,
      "coefficient vector has 1 entries, need 2 for N=4", 7),
     (parse_ord, 4, "Om(1 x)", OrdSyntaxError, "expected ')'", 5),

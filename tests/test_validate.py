@@ -178,9 +178,9 @@ def _exp(text, params):
 _K_SUB = ("subterm", "invalid subterm phi(K,0)")
 
 # (checker, reader, params, input, rule, first failure): one input for each
-# rejection that a parsed term can reach.  Two are left out because no
-# term reaches them: Psi10's "K(b,a) < a" (with base K, no psi subterm of
-# b or a lies above the term, so the K-set is empty).  Psi11 has no
+# rejection that a parsed term can reach.  Psi10 has no K-set check: its
+# K(b,a) < a holds for valid b and a (README, decisions ledger, and
+# tests/test_oracle.py::test_psi10_k_sets_are_empty).  Psi11 has no
 # position check: rule_tag gives k >= 2, and a validated base has
 # len(m) <= N-2 (test_regular_terms_record_at_most_n_minus_2).  A
 # wrong arity and a zero exponent inside a base-power sum cannot be
