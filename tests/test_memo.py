@@ -3,6 +3,7 @@ the trim_caches() checkpoints bound, and that no output depends on either.
 The seven mk_* intern caches are the one unbounded table, by design."""
 
 import io
+import itertools
 import sys
 
 import pytest
@@ -11,7 +12,9 @@ import piord.oracle as oracle
 import piord.order as order
 import piord.terms as terms
 from piord.cli import main
-from piord.order import _MEMOS, _k_delta, clear_caches, k_delta, trim_caches
+from piord.order import (
+    _MEMOS, _cmp_ord, _k_delta, clear_caches, k_delta, trim_caches,
+)
 from piord.errors import OrdSyntaxError
 from piord.params import SystemParams
 from piord.terms import (
@@ -64,6 +67,31 @@ def test_cli_calls_share_validation_entries():
     second = check_ot.cache_info()
     assert second.currsize == first.currsize > 0
     assert second.hits == first.hits + 1
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_results_do_not_depend_on_cache_state(n):
+    # every pair's forward comparison and every census K_delta(t), computed
+    # by the uncached bodies from empty tables in two orders and warm
+    terms = enumerate_corpus(SystemParams(n), 7).terms
+    pairs = list(itertools.combinations(terms, 2))
+    ksets = list(itertools.product(
+        [d for d in terms if isinstance(d, Psi)], terms))
+    k_fresh = _k_delta.__wrapped__
+
+    def results(order):
+        return ({p: _cmp_ord(*p) for p in order(pairs)},
+                {q: k_fresh(*q) for q in order(ksets)})
+
+    try:
+        clear_caches()
+        ascending = results(list)
+        clear_caches()
+        descending = results(reversed)
+        warm = results(list)
+    finally:
+        clear_caches()
+    assert ascending == descending == warm
 
 
 @pytest.mark.parametrize("n", (3, 4))

@@ -20,6 +20,7 @@ from piord.oracle import enumerate_corpus, witness_terms
 from piord.syntax import parse_ord, print_exp, print_ord
 from piord.validate import check_ot
 
+import reference
 from conftest import all_subterms, from_int
 
 P3 = SystemParams(3)
@@ -288,6 +289,18 @@ def test_census_tower_nodes_know_their_height_and_levels(n, census_towers):
         _assert_tower_node(t)
         for k in range(t.height + 1):
             assert tower_down(t, k) is _ref_down(t, k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_tower_pairs_compare_as_the_level_walk(n, census_towers):
+    # psi terms of different ranks do not compare, so pairs stay in one;
+    # the reference reads w^b against w^d as b against d, level by level
+    towers = census_towers[n]
+    for s in towers:
+        for t in towers:
+            if s is not t:
+                assert cmp_ord(s, t) == reference.cmp(s, t), (s, t)
+    reference.clear()
 
 
 @pytest.mark.parametrize("text", ["K+1", "w^(K+1)+1"])
