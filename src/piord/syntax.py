@@ -9,8 +9,9 @@
 
 Decimal literals abbreviate finite sums of phi(0,0).  Parsing is structural:
 normal-form side conditions are left to validation, so ``check`` can report
-on ill-formed input.  The printers are defined in :mod:`piord.terms`, where
-they are every node's ``repr``, and exported from here as well.
+on ill-formed input.  The printers write the same grammar back, and are
+every node's ``repr``; ``print_ord`` is a memo table, so each interned node
+is spelled once while the table keeps it.
 """
 
 import re
@@ -19,9 +20,9 @@ from .errors import ArityError, OrdSyntaxError
 from .order import memo
 from .terms import (
     BIG_K, E_ZERO, ONE, ZERO,
+    EOrd, OmegaExp, OmegaIdx, Psi, Sum, Veblen,
     from_parts, is_zero_vec, mk_eord, mk_lamsum, mk_omega_exp, mk_omega_idx,
-    mk_psi, mk_sum, mk_veblen, print_exp, print_ord, print_seq, tower_up,
-    zero_vec,
+    mk_psi, mk_sum, mk_veblen, tower_up, zero_vec,
 )
 
 __all__ = ["parse_ord", "parse_seq", "print_ord", "print_exp", "print_seq"]
@@ -267,3 +268,59 @@ def parse_ord_claims(text, params):
 def parse_seq(text, params):
     """Parse a bracketed coefficient vector."""
     return _parse(_Parser.seq, text, params)[0]
+
+
+@memo
+def print_ord(t):
+    """The spelling of an ordinal term; parse_ord reads it back.
+
+    A memo table, so a subterm spelled before costs one lookup: each
+    nesting level costs two recursion units, the table's call and this
+    body.  A tower of w^ levels is spelled in one body, around its base.
+    ONE is the numeral 1, and a sum's maximal run of trailing ones is one
+    decimal literal; a one before that run is spelled phi(0,0)."""
+    cls = type(t)
+    if cls is Psi:
+        if not t.m:
+            return "psi(%s; %s)" % (print_ord(t.pi), print_ord(t.a))
+        return "psi(%s; %s; %s)" % (
+            print_ord(t.pi), print_seq(t.nu), print_ord(t.a))
+    if cls is Sum:
+        parts = t.parts
+        k = len(parts)
+        while k and parts[k - 1] is ONE:
+            k -= 1
+        # a loop, not a comprehension: no frame between the parts and here
+        chunks = []
+        for p in parts[:k]:
+            chunks.append("phi(0,0)" if p is ONE else print_ord(p))
+        if k < len(parts):
+            chunks.append(str(len(parts) - k))
+        return "+".join(chunks)
+    if cls is Veblen:
+        if t is ONE:
+            return "1"
+        return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
+    if cls is OmegaIdx:
+        return "Om(%s)" % print_ord(t.b)
+    if cls is OmegaExp:
+        k = t.height
+        return "w^(" * k + print_ord(t.levels[0].b) + ")" * k
+    if t is BIG_K:
+        return "K"
+    if t is ZERO:
+        return "0"
+    raise ValueError("not an ordinal term: %s" % cls.__name__)
+
+
+def print_exp(x):
+    if x is E_ZERO:
+        return "0"
+    if type(x) is EOrd:
+        return print_ord(x.a)
+    return "+".join("L^(%s)*(%s)" % (print_exp(e), print_ord(c))
+                    for e, c in x.pairs)
+
+
+def print_seq(vec):
+    return "[%s]" % ",".join(print_exp(e) for e in vec)

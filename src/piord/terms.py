@@ -33,7 +33,6 @@ __all__ = [
     "is_regular",
     "zero_vec", "is_zero_vec", "strip_zeros",
     "m_at", "m_vec", "collapsing_series",
-    "print_ord", "print_exp", "print_seq",
 ]
 
 
@@ -55,6 +54,9 @@ class Ord:
     m = ()
 
     def __repr__(self):
+        # the printer lives beside the parser, in a module that imports
+        # this one
+        from .syntax import print_ord
         return print_ord(self)
 
 
@@ -103,6 +105,7 @@ class Exp:
     __slots__ = ("size", "comps", "pairs")
 
     def __repr__(self):
+        from .syntax import print_exp
         return print_exp(self)
 
 
@@ -356,56 +359,3 @@ def collapsing_series(t):
             "pd chain of %r stops at %r before the top term" % (t, cur))
     chain.reverse()
     return chain
-
-
-# ---------------------------------------------------------------------------
-# Printing in the concrete grammar of piord.syntax
-# ---------------------------------------------------------------------------
-
-def print_ord(t):
-    parts = t.parts
-    if len(parts) == 1 and t is not ONE:    # ONE prints as the numeral 1
-        return _print_principal(t)
-    if not parts:
-        return "0"
-    # coalesce the maximal run of trailing ones into a decimal literal
-    k = len(parts)
-    while k > 0 and parts[k - 1] is ONE:
-        k -= 1
-    chunks = [_print_principal(p) for p in parts[:k]]
-    ones = len(parts) - k
-    if ones:
-        chunks.append(str(ones))
-    return "+".join(chunks)
-
-
-def _print_principal(t):
-    if isinstance(t, Veblen):
-        return "phi(%s,%s)" % (print_ord(t.b), print_ord(t.g))
-    if isinstance(t, OmegaExp):
-        # a tower of k levels is printed in this frame, around its base
-        k = t.height
-        return "w^(" * k + print_ord(t.levels[0].b) + ")" * k
-    if isinstance(t, OmegaIdx):
-        return "Om(%s)" % print_ord(t.b)
-    if isinstance(t, Psi):
-        if not t.m:
-            return "psi(%s; %s)" % (print_ord(t.pi), print_ord(t.a))
-        return "psi(%s; %s; %s)" % (
-            print_ord(t.pi), print_seq(t.nu), print_ord(t.a))
-    if isinstance(t, BigKT):
-        return "K"
-    raise ValueError("not a principal term: %s" % type(t).__name__)
-
-
-def print_exp(x):
-    if isinstance(x, EZeroT):
-        return "0"
-    if isinstance(x, EOrd):
-        return print_ord(x.a)
-    return "+".join("L^(%s)*(%s)" % (print_exp(e), print_ord(c))
-                    for e, c in x.pairs)
-
-
-def print_seq(vec):
-    return "[%s]" % ",".join(print_exp(e) for e in vec)

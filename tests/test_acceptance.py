@@ -10,13 +10,14 @@ import pathlib
 
 import pytest
 
+import piord.order as order
 from piord.params import SystemParams
-from piord.order import EQ, GT, LT, clear_caches, cmp_ord
+from piord.order import EQ, GT, LT, clear_caches, cmp_ord, trim_caches
 from piord.validate import check_ot
 from piord.arith import theorem_bound
 from piord.oracle import (
     check_order_axioms, check_structural_props, default_size_cap,
-    descent_probe, enumerate_corpus, sd_cross_check,
+    descent_probe, enumerate_corpus, sd_cross_check, witness_terms,
 )
 from piord.syntax import parse_ord, print_ord
 from piord.cli import main as cli_main
@@ -171,12 +172,28 @@ def test_criterion_7_descent_probes():
            % (min(hist), max(hist)))
 
 
-def test_criterion_8_round_trip_and_cli_cmp():
+def test_criterion_8_round_trip_and_cli_cmp(monkeypatch):
+    # every census term, witness and bound stage is spelled alike from
+    # empty tables, from warm ones and after a checkpoint that empties
+    # every table, and each spelling parses back to the same object
     for n in (3, 4):
         corpus = corpus_for(n)
         params = corpus.params
-        for t in corpus.terms:
-            assert parse_ord(print_ord(t), params) is t
+        terms = [*corpus.terms, *witness_terms(params),
+                 *(theorem_bound(k, params) for k in range(9))]
+        cold = []
+        for t in terms:
+            clear_caches()
+            cold.append(print_ord(t))
+        warm = [print_ord(t) for t in terms]
+        with monkeypatch.context() as m:
+            m.setattr(order, "MEMO_BOUND", 0)
+            trim_caches()
+            assert print_ord.cache_info().currsize == 0
+            trimmed = [print_ord(t) for t in terms]
+        assert cold == warm == trimmed == [repr(t) for t in terms]
+        for t, text in zip(terms, cold):
+            assert parse_ord(text, params) is t
     corpus = corpus_for(4)
     rng = random.Random(20240809)
     terms = corpus.terms

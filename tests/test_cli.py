@@ -776,6 +776,19 @@ def test_too_deep_input_is_a_usage_error():
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_printing_keeps_the_depth_of_the_parser():
+    # a nesting level costs the printer two recursion units, the memo
+    # table's call and its body, as it costs the parser two frames; a
+    # printer that spent three units per level failed json-lines cmp and
+    # kset past 329 levels of Om(
+    nest = "Om(" * 480 + "1" + ")" * 480
+    for argv in (["cmp", nest, "1"], ["kset", "0", nest]):
+        proc = _fresh_cli(["--format", "json-lines"] + argv)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout.count("\n") == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["kind"] == argv[0]
+
+
 def test_bound_at_max_stage_in_fresh_process():
     # the largest stage: 1000 tower levels, built, printed, parsed and
     # validated each in one frame per tower

@@ -44,9 +44,10 @@ def test_clear_caches_empties_every_table_and_keeps_results(p4):
     warm = _reports(corpus)
     term = parse_ord("psi(K; [0,1]; 1)", p4)
     main(["cmp", "0", "1"], io.StringIO())     # fills cli's params table
+    main(["check", "K"], io.StringIO())        # and the printer's
     assert {m.__name__ for m in _MEMOS} == {
         "_cmp_ord", "_k_delta", "_kset", "check_ot", "check_exp", "_search",
-        "_parse", "SystemParams"}
+        "_parse", "print_ord", "SystemParams"}
     assert all(m.cache_info().currsize > 0 for m in _MEMOS)
 
     clear_caches()

@@ -67,6 +67,9 @@ def test_decimal_coalescing():
     t = parse_ord("K+2", P4)
     assert print_ord(t) == "K+2"
     assert parse_ord(print_ord(t), P4) is t
+    # only the trailing run of ones is a literal: a one before it is
+    # spelled as the principal term it is
+    assert print_ord(parse_ord("1+K", P4)) == "phi(0,0)+K"
 
 
 def test_bound_print_form():
