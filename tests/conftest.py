@@ -1,16 +1,23 @@
+import functools
+import gc
 import inspect
 import os
 import re
 import sys
+import types
 
 import pytest
 
 import piord
+import reference
+from piord import order
 from piord.params import SystemParams
 import piord.oracle as oracle
 from piord.oracle import enumerate_corpus
+from piord.syntax import parse_ord
 from piord.terms import (
-    ONE, EOrd, LamSum, OmegaExp, OmegaIdx, Ord, Psi, Sum, Veblen, from_parts,
+    BIG_K, ONE, ZERO, EOrd, LamSum, OmegaExp, OmegaIdx, Ord, Psi, Sum, Veblen,
+    from_parts, tower_up,
 )
 
 # pytest's `pythonpath` setting reaches this process only: put the same
@@ -152,6 +159,86 @@ def census_towers():
             found |= {x for x in all_subterms(t) if type(x) is OmegaExp}
         towers[n] = sorted(found, key=repr)
     return towers
+
+
+def _table(fn, xs):
+    return [[fn(x, y) for y in xs] for x in xs]
+
+
+def _ranked(xs):
+    """xs sorted by the reference, the reference's verdict on each pair of
+    neighbours in that order, and the table of every pair's verdict that
+    the order gives."""
+    ordered = sorted(xs, key=functools.cmp_to_key(reference.cmp))
+    steps = [reference.cmp(s, t) for s, t in zip(ordered, ordered[1:])]
+    rank = {t: i for i, t in enumerate(ordered)}
+    return ordered, steps, _table(
+        lambda s, t: (rank[s] > rank[t]) - (rank[s] < rank[t]), xs)
+
+
+def build_record(n, cap, towers=()):
+    """The reference's and the library's verdicts on every ordered pair of
+    the rank-n census at cap with the witnesses' subterms (the pool), of
+    their exponents and of the towers, and on every K-set of a pool term,
+    the library's filled from emptied tables.  tests/test_reference.py
+    asserts the whole record; the order checks kept under their own names
+    each assert a slice of it."""
+    gc.disable()    # collections would scan the filling tables again and again
+    reference.clear()
+    try:
+        corpus = oracle.enumerate_corpus(SystemParams(n), cap)
+        witnesses = oracle.witness_terms(corpus.params)
+        subterms = {x for w in witnesses for x in all_subterms(w)}
+        pool = [*corpus.terms, *sorted(subterms - set(corpus.terms), key=repr)]
+        r = types.SimpleNamespace(corpus=corpus.terms, witnesses=witnesses,
+                                  pool=pool, towers=towers)
+        r.order, r.steps, r.want = _ranked(pool)
+        r.rank = {t: i for i, t in enumerate(r.order)}
+        r.ref = _table(reference.cmp, pool)
+        r.lib = []          # every pair ascending, then descending
+        for step in (1, -1):
+            order.clear_caches()
+            rows = {}
+            for s in pool[::step]:
+                rows[s] = [order.cmp_ord(s, t) for t in pool[::step]][::step]
+                order.trim_caches()
+            r.lib.append([rows[s] for s in pool])
+        r.tower_lib = _table(order.cmp_ord, towers)
+        _, r.tower_steps, r.tower_want = _ranked(towers)
+        r.exps = list(dict.fromkeys([*oracle._exp_pool(corpus),
+                                     *(e for w in witnesses for e in w.nu)]))
+        r.exp_lib = _table(order.cmp_exp, r.exps)
+        r.exp_order, r.exp_steps, r.exp_want = _ranked(r.exps)
+        r.psi_at = [i for i, t in enumerate(pool) if type(t) is Psi]
+        r.psis = [pool[i] for i in r.psi_at]
+        r.six = _table(oracle._six_cases_lt, r.psis)
+        r.kset_ref, r.kset_lib = [], []     # per delta: K-sets, K-set tests
+        for d in [ZERO, BIG_K] + r.psis:
+            sets = [reference.kset(d, a) for a in pool]
+            # K_d(a) < g holds exactly from the first g above the set on
+            tops = [max(map(r.rank.get, ks), default=-1) for ks in sets]
+            edges = [(a, g, r.rank[g] > top) for a, top in zip(pool, tops)
+                     for g in r.order[max(top, 0):top + 2]]
+            r.kset_ref.append((sets, [below for _, _, below in edges]))
+            r.kset_lib.append(([order.k_delta(d, a) for a in pool], [
+                order.ks_below(d, (a,), g) for a, g, _ in edges]))
+        return r
+    finally:
+        reference.clear()
+        order.clear_caches()
+        gc.enable()
+
+
+@pytest.fixture(scope="session")
+def records(census_towers):
+    """build_record(n, 9) by n for N = 3, 4 and 5, built once per session,
+    with the census towers, and at N = 5 towers up to 41 levels high."""
+    bases = [parse_ord(x, SystemParams(5)) for x in (
+        "K+1", "K+2", "w^(K+1)+1", "K+K", "w^(K+1)", "w^(w^(K+1))+K")]
+    tall = list(dict.fromkeys(tower_up(b, h) for b in bases
+                              for h in (1, 2, 3, 7, 40, 41)))
+    return {n: build_record(n, 9, census_towers.get(n, tall))
+            for n in (3, 4, 5)}
 
 
 @pytest.fixture

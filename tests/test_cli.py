@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import random
 import re
@@ -248,6 +249,32 @@ def test_query_operations_stay_below_the_memo_bound():
     finally:
         clear_caches()
     assert order.MEMO_BOUND // 2 < peak < order.MEMO_BOUND
+
+
+_TABLE_WORK = (
+    "import io, json, sys\n"
+    "from piord import cli, order\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    cli.main(argv, io.StringIO(), io.StringIO())\n"
+    "for table in order._MEMOS:\n"
+    "    info = table.cache_info()\n"
+    "    print(table.__qualname__, info.misses, info.currsize)\n")
+
+
+def test_query_work_does_not_depend_on_the_process():
+    # terms hash by address, and strings by a seed drawn per process; two
+    # processes that run the same operations compute the same entries in
+    # every table.  Hits are left out: ks_below stops at the first element
+    # of a K-set not below, in an order set by addresses, so _cmp_ord's
+    # hits differ by a few between processes (ROADMAP item 6)
+    argvs = json.dumps(_query_argvs())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    outs = [subprocess.run([sys.executable, "-c", _TABLE_WORK], input=argvs,
+                           capture_output=True, text=True, env=env)
+            for _ in range(2)]
+    assert [p.returncode for p in outs] == [0, 0], outs[0].stderr[-300:]
+    assert len(outs[0].stdout.splitlines()) == len(order._MEMOS)
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_parsed_namespaces_share_no_state():

@@ -241,10 +241,11 @@ def test_census_terms_all_validate(corpus4):
         assert check_ot(t, corpus4.params).ok
 
 
-def test_census_sorted_strictly(corpus4):
-    terms = corpus4.terms
-    for a, b in zip(terms, terms[1:]):
-        assert cmp_ord(a, b) == LT
+def test_census_sorted_strictly(corpus4, records):
+    # the census comes first in the record's pool
+    r, k = records[4], len(corpus4.terms)
+    assert r.pool[:k] == list(corpus4.terms)
+    assert [r.lib[0][i][i + 1] for i in range(k - 1)] == [LT] * (k - 1)
 
 
 def test_budget_guard(monkeypatch):
@@ -273,17 +274,16 @@ def test_structural_props_small(corpus3, corpus4):
             assert rep.ok, rep.line()
 
 
-def test_six_cases_agree_on_every_psi_pair_at_cap_9(corpus3, corpus4):
+def test_six_cases_agree_on_every_psi_pair_at_cap_9(records):
     # the suite "psi comparison cases" checks the 80 smallest psi terms
     # only; here every ordered pair of the cap-9 census plus the witnesses
     # (the first witness, psi(K; [..,K]; K), is a census term too)
-    for c, pairs in ((corpus3, 27_722), (corpus4, 28_392)):
-        psis = [t for t in dict.fromkeys(c.terms + tuple(
-            witness_terms(c.params))) if isinstance(t, Psi)]
-        assert len(psis) * (len(psis) - 1) == pairs
-        bad = [(print_ord(s), print_ord(t)) for s in psis for t in psis
-               if s is not t
-               and oracle._six_cases_lt(s, t) != (cmp_ord(s, t) == LT)]
+    for r, pairs in ((records[3], 27_722), (records[4], 28_392)):
+        named = {*r.corpus, *r.witnesses}
+        at = [(k, i) for k, i in enumerate(r.psi_at) if r.pool[i] in named]
+        assert len(at) * (len(at) - 1) == pairs
+        bad = [(r.psis[k], r.psis[m]) for k, i in at for m, j in at
+               if i != j and r.six[k][m] != (r.lib[0][i][j] == LT)]
         assert bad == []
 
 

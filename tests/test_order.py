@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from piord.errors import BadDelta, InvalidTerm
 from piord.params import SystemParams
@@ -8,9 +7,7 @@ from piord.terms import (
 )
 from piord.order import EQ, GT, LT, cmp_exp, cmp_ord, k_delta, ks_below
 from piord.arith import add, omega_idx, psi0, psiK, theorem_bound
-from piord.oracle import (
-    _exp_pool, _kset_below, enumerate_corpus, witness_terms,
-)
+from piord.oracle import enumerate_corpus
 from piord.syntax import parse_ord
 
 import reference
@@ -50,21 +47,19 @@ def test_sum_lexicographic():
         assert cmp_ord(t(high), t(low)) == GT, (low, high)
 
 
-@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
-def test_sums_compare_as_the_parts_walk(params):
+@pytest.mark.parametrize("n", [3, 4], ids=["n3", "n4"])
+def test_sums_compare_as_the_parts_walk(n, records):
     # cmp_ord decides a sum against a principal term by the heads alone;
-    # every census pair with a sum or zero on a side must agree with the
-    # reference, which walks the parts lexicographically
-    terms = enumerate_corpus(params, 8).terms
-    kinds = set()
-    for x in terms:
-        for y in terms:
+    # every pair of the cap-9 pool with a sum or zero on a side must get
+    # the verdict of the reference, which walks the parts lexicographically
+    r, kinds = records[n], set()
+    for x, row, want in zip(r.pool, r.lib[0], r.ref):
+        for y, got, ref in zip(r.pool, row, want):
             if len(x.parts) == 1 == len(y.parts):
                 continue
-            assert cmp_ord(x, y) == reference.cmp(x, y), (x, y)
+            assert got == ref, (x, y)
             kinds.add((min(len(x.parts), 2), min(len(y.parts), 2),
                        x.parts[:1] == y.parts[:1]))
-    reference.clear()
     # sum/principal, principal/sum and sum/sum, each with equal heads and
     # with different ones, and zero against a sum
     assert {(2, 1, True), (1, 2, True), (2, 2, True), (0, 2, False),
@@ -118,24 +113,18 @@ def test_cmp_exp_order():
     assert cmp_exp(mk_lamsum(((e1, from_int(5)), (E_ZERO, ONE))), lam1) == GT
 
 
-def test_cmp_exp_against_a_class_reference(corpus3, corpus4):
-    # the pair-lexicographic order must agree with the reading by node
-    # class: 0 first, then plain ordinal terms by cmp_ord, then the sums
-    for corpus in (corpus3, corpus4):
-        pool = list(_exp_pool(corpus))
-        pool += [e for w in witness_terms(corpus.params) for e in w.nu]
-        pool = list(dict.fromkeys(pool))
-        for x in pool:
-            for y in pool:
-                c = cmp_exp(x, y)
-                assert (c == EQ) == (x is y), (x, y)
-                assert cmp_exp(y, x) == -c, (x, y)
-                if x is E_ZERO and y is not E_ZERO:
-                    assert c == LT, y
-                if isinstance(x, EOrd) and isinstance(y, LamSum):
-                    assert c == LT, (x, y)
-                if isinstance(x, EOrd) and isinstance(y, EOrd):
-                    assert c == cmp_ord(x.a, y.a), (x, y)
+def test_cmp_exp_against_a_class_reference(records):
+    # the pair-lexicographic order must agree with the reference on every
+    # pair of the census's and the witnesses' exponents, and the reference
+    # reads them by node class: 0 first, then plain ordinal terms in the
+    # order of their ordinals, then the sums
+    for r in (records[3], records[4]):
+        assert r.exp_lib == r.exp_want
+        assert r.exp_order[0] is E_ZERO
+        sums = [type(e) is LamSum for e in r.exp_order[1:]]
+        assert sums == sorted(sums)
+        ords = [e.a for e in r.exp_order if type(e) is EOrd]
+        assert ords == sorted(ords, key=r.rank.get)
 
 
 def test_k_delta_examples():
@@ -160,16 +149,17 @@ def test_hull_member_examples():
 
 @pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
 def test_hull_member_matches_the_set_based_test(params):
+    # K_d(a) < g as the reference finds it, from its own K-set of a
     terms = enumerate_corpus(params, 7).terms
     deltas = [ZERO, BIG_K] + [x for x in terms if isinstance(x, Psi)][:4]
     outcomes = {True: 0, False: 0}
     for d in deltas:
         for a in terms:
-            ks = k_delta(d, a)
             for g in terms:
-                below = _kset_below(ks, g)
+                below = reference.below(d, (a,), g)
                 assert ks_below(d, (a,), g) == below, (g, d, a)
                 outcomes[below] += 1
+    reference.clear()
     # both answers occur often, so neither side of the walk goes unchecked
     assert outcomes == {True: 41276, False: 11740}
 
@@ -182,21 +172,17 @@ def test_bound_chain_increasing():
         prev = cur
 
 
-def _pairs_strategy(corpus):
-    return st.tuples(st.sampled_from(corpus.terms),
-                     st.sampled_from(corpus.terms))
+def test_mirror_consistency(records):
+    # every ordered pair of the N=4 pool, from both passes: EQ on the
+    # diagonal only, and each verdict the mirror of the reverse pair's
+    for got in records[4].lib:
+        assert [row[i] for i, row in enumerate(got)] == [EQ] * len(got)
+        assert sum(row.count(EQ) for row in got) == len(got)
+        assert [[-v for v in col] for col in zip(*got)] == got
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mirror_consistency(data, corpus4):
-    a, b = data.draw(_pairs_strategy(corpus4))
-    assert cmp_ord(a, b) == -cmp_ord(b, a)
-    assert (cmp_ord(a, b) == EQ) == (a is b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_le_total(data, corpus3):
-    a, b = data.draw(_pairs_strategy(corpus3))
-    assert cmp_ord(a, b) <= EQ or cmp_ord(b, a) <= EQ
+def test_le_total(records):
+    # every ordered pair of the N=3 pool, from both passes
+    for got in records[3].lib:
+        assert all(x <= EQ or y <= EQ for row, col in zip(got, zip(*got))
+                   for x, y in zip(row, col))
