@@ -74,6 +74,16 @@ class Corpus(namedtuple("Corpus", "params size_cap terms seqs")):
         return bisect.bisect_left(self.terms, key(t), key=key)
 
 
+def _cmp_fresh():
+    """The uncached body of the comparator this module names at call time
+    (a substitute is used as given): the pairs it is asked take no memo
+    space, while its sub-comparisons stay memoized."""
+    cmp = cmp_ord
+    while hasattr(cmp, "__wrapped__"):
+        cmp = cmp.__wrapped__
+    return cmp
+
+
 def enumerate_corpus(params, size_cap):
     """Census of every validated term with at most size_cap symbols."""
     ot_by_size = {s: [] for s in range(size_cap + 1)}
@@ -109,11 +119,12 @@ def enumerate_corpus(params, size_cap):
         trim_caches()
         # later classes are built from sorted ones, so they come out
         # nearly sorted and the final sort, which keeps the guarantee,
-        # finds long runs
-        ot_by_size[s].sort(key=functools.cmp_to_key(cmp_ord))
+        # finds long runs; the sorts' own pairs take no memo space
+        ot_by_size[s].sort(key=functools.cmp_to_key(_cmp_fresh()))
 
     terms = [t for s in range(size_cap + 1) for t in ot_by_size[s]]
-    terms.sort(key=functools.cmp_to_key(cmp_ord))
+    terms.sort(key=functools.cmp_to_key(_cmp_fresh()))
+    trim_caches()
     seqs = []
     seen = set()
     for t in terms:
@@ -355,13 +366,8 @@ def check_order_axioms(corpus, triple_sample=100_000, seed=0):
     ``sorted(rng.sample(range(n), 3))`` from one ``random.Random(seed)``."""
     terms = corpus.terms
     n = len(terms)
-    # every comparison runs the uncached body of the comparator this module
-    # names at call time (a substitute is checked as given): each is
-    # computed once, never read back from a stored entry, and no top-level
-    # pair takes memo space
-    cmp_fresh = cmp_ord
-    while hasattr(cmp_fresh, "__wrapped__"):
-        cmp_fresh = cmp_fresh.__wrapped__
+    # each comparison is computed once, never read back from a stored entry
+    cmp_fresh = _cmp_fresh()
     # (i, j) with i < j -> the forward result when it is not LT, or the
     # message of the ComparisonUndecided it raised
     forward = {}

@@ -28,19 +28,21 @@ _MEMOS = []
 
 # Entries a memo table may hold right after a checkpoint (a call of
 # trim_caches: each column of the oracle's pair suite, every 1024 other
-# oracle cases, each census size step, every 16th cli.main call).  The
-# bound is soft: a table may pass it between two checkpoints.  A smaller
-# bound holds less and recomputes more.  `props --size-cap 10 --triples
-# 100000` at N=4 peaks, in-process, at 18.9 MB with 16384, 18.5 MB with
-# 12288, 17.8 MB with 10240, 17.4 MB with 8192 and 17.5 MB with 6144 and
-# with 4096 (16.5 MB with 0, 49.4 MB with no bound).  At 8192 the peak
-# comes in the pair suite but is within 0.2 MB of what the census holds
-# when it ends, so a smaller bound gains little, and it computes more:
-# calls into order and validate are +0.9% at 8192, +2.0% at 6144, +3.4%
-# at 4096 and +36% at 0 against 16384.  The pair suite loses little to
-# the trims because it walks its pairs column by column and reuses
-# mostly each column's own entries.  A query session's tables stay below
-# the bound.  (2 vCPUs, Python 3.11.7; BENCH_memo_8192.json.)
+# oracle cases, each census size step and the census's end, every 16th
+# cli.main call).  The bound is soft: a table may pass it between two
+# checkpoints.  A smaller bound holds less and recomputes more.  `props
+# --size-cap 10 --triples 100000` at N=4 peaks, in-process, at 19.0 MB
+# with 16384, 18.5 MB with 12288, 17.8 MB with 10240, 16.9 MB with 8192
+# and with 6144, and 16.6 MB with 4096 (15.9 MB with 0, 48.9 MB with no
+# bound).  The census's sorts store none of their own pairs, so the
+# census peaks at 16.7 MB at every bound from 6144 up (17.4 MB at 8192
+# when they stored them); at 8192 the pair suite peaks 0.2 MB above it,
+# and a smaller bound computes more: calls into order and validate are
+# +1.2% at 8192, +2.1% at 6144, +3.6% at 4096 and +37% at 0 against
+# 16384.  The pair suite loses little to the trims because it walks its
+# pairs column by column and reuses mostly each column's own entries.
+# A query session's tables stay below the bound.  (2 vCPUs, Python
+# 3.11.7; BENCH_census_sorts.json.)
 MEMO_BOUND = 8192
 
 

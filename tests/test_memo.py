@@ -312,7 +312,7 @@ def test_every_checkpoint_is_reached(monkeypatch, p4):
     calls = []
     monkeypatch.setattr(oracle, "trim_caches", lambda: calls.append(1))
     corpus = enumerate_corpus(p4, 7)
-    assert len(calls) == 7 - 1            # once per size step from 2 to 7
+    assert len(calls) == 7      # once per size step from 2 to 7, and the end
     calls.clear()
     check_order_axioms(corpus, triple_sample=0)
     assert len(calls) == len(corpus.terms)    # after each column of pairs

@@ -104,13 +104,17 @@ def test_census_digest():
 
 
 def test_census_build_comparison_count(monkeypatch):
-    # work, not wall time: each size class is sorted as it is built, so
-    # the later classes come out nearly sorted and the final sort finds
-    # long runs (32 794 calls when only the whole census was sorted); the
-    # digests above pin that the census stays the same.  Each size step's
-    # checkpoint comes before its sort, so the entries the sort makes are
-    # there for the next step: the comparator's body runs 47 099 times
-    # from empty tables, 54 006 with the checkpoint after the sort
+    # work, not wall time, through a substituted counting comparator,
+    # which the census uses as given, so the sorts' pairs go through the
+    # memoized comparator and are stored (the library's own path, which
+    # stores none of them, is the next test): each size class is sorted
+    # as it is built, so the later classes come out nearly sorted and the
+    # final sort finds long runs (32 794 calls when only the whole census
+    # was sorted); the digests above pin that the census stays the same.
+    # Each size step's checkpoint comes before its sort, so the entries
+    # the sort makes are there for the next step: here the comparator's
+    # body runs 47 099 times from empty tables, 54 006 with the checkpoint
+    # after the sort
     calls = [0]
     bodies = [0]
 
@@ -134,6 +138,64 @@ def test_census_build_comparison_count(monkeypatch):
     assert len(terms) == 3029
     assert calls[0] <= 26_886
     assert bodies[0] <= 47_099
+
+
+@pytest.mark.parametrize("cap, most_entries, most_bodies",
+                         [(10, 9_700, None), (11, 17_907, 50_192)])
+def test_census_sorts_store_no_top_level_pairs(monkeypatch, cap,
+                                               most_entries, most_bodies):
+    # work, not wall time, on the library's own path: the sorts ask their
+    # pairs through the comparator's uncached body, so only sub-comparisons
+    # are stored (16 343 entries at cap 10 and 29 792 at cap 11 when the
+    # sorts' pairs were stored too), and the census ends on a checkpoint after its final sort, so it returns no
+    # table above the bound.  At cap 11 the table reads 17 905 to 17 907
+    # and the body runs 50 190 or 50 191 times, with the order in which a
+    # K-set walk visits its terms, which follows their addresses
+    sizes = []
+    bodies = [0]
+    trim = oracle.trim_caches
+
+    def checkpoint():
+        sizes.append({m.__name__: m.cache_info().currsize
+                      for m in piord.order._MEMOS})
+        trim()
+
+    def profile(frame, event, arg):
+        bodies[0] += event == "call" and frame.f_code is body
+
+    body = piord.order._cmp_ord.__code__
+    monkeypatch.setattr(oracle, "trim_caches", checkpoint)
+    clear_caches()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        terms = enumerate_corpus(P4, cap).terms
+        left = [m.cache_info().currsize for m in piord.order._MEMOS]
+    finally:
+        sys.setprofile(previous)
+        clear_caches()
+    assert len(terms) == {10: 1227, 11: 3029}[cap]
+    assert max(left) <= piord.order.MEMO_BOUND
+    assert len(sizes) == cap          # each size step from 2, and the end
+    assert sizes[-1]["_cmp_ord"] <= most_entries
+    if most_bodies is not None:
+        assert bodies[0] <= most_bodies
+
+
+@pytest.mark.parametrize("params", [P3, P4], ids=["n3", "n4"])
+def test_census_does_not_depend_on_the_memo(monkeypatch, params):
+    # the sorts' pairs asked through the memoized comparator, given as a
+    # plain function, put the census in the same order as its body does
+    clear_caches()
+    own = enumerate_corpus(params, 9).terms
+    clear_caches()
+    monkeypatch.setattr(oracle, "cmp_ord", lambda x, y: cmp_ord(x, y))
+    try:
+        memoized = enumerate_corpus(params, 9).terms
+    finally:
+        clear_caches()
+    assert len(own) == len(memoized)
+    assert all(a is b for a, b in zip(own, memoized))
 
 
 def test_pair_suite_sub_comparison_count(monkeypatch):
